@@ -14,7 +14,6 @@ from .bounds import (
     incompat_bound,
 )
 from .constructions import (
-    Family,
     bipartite_crossing_family,
     bipartite_path,
     kernel_cycle_family,
@@ -24,6 +23,7 @@ from .constructions import (
 from .core import (
     CoupleOrder,
     DegreeProfile,
+    Family,
     HamiltonCycle,
     HamiltonPath,
     Permutation,

@@ -17,16 +17,10 @@ from typing import List, Optional
 
 from . import bounds as bounds_mod
 from . import constructions, greedy, oracle, relations, structure
-from .core import HamiltonCycle, HamiltonPath, Permutation, as_seq
-from .errors import SephamError
+from .core import Family, Permutation, as_seq, kind_class
+from .errors import CapExceeded, SephamError
 
 FORMAT_HEADER = "# sepham family v1"
-
-_KIND_TO_CLS = {
-    "permutations": Permutation,
-    "paths": HamiltonPath,
-    "cycles": HamiltonCycle,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,7 +34,7 @@ class UsageError(SephamError):
     pass
 
 
-def serialize_family(fam: constructions.Family) -> str:
+def serialize_family(fam: Family) -> str:
     meta = fam.meta
     seed = meta.get("seed")
     lines = [
@@ -54,29 +48,29 @@ def serialize_family(fam: constructions.Family) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_family(text: str) -> constructions.Family:
+def parse_family(text: str) -> Family:
+    """Read a family file; any malformed content raises UsageError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise UsageError("not a sepham family file (missing header)")
-    fields = dict(
-        tok.split("=", 1) for tok in lines[1].lstrip("# ").split() if "=" in tok
-    )
-    kind = fields["kind"]
-    n = int(fields["n"])
-    seed = fields.get("seed", "none")
-    cls = _KIND_TO_CLS[kind]
-    members = tuple(
-        cls(tuple(int(t) for t in ln.split())) for ln in lines[2:]
-    )
-    return constructions.Family(
-        n=n,
-        kind=kind,
-        members=members,
-        meta={
-            "construction": fields.get("construction", "unknown"),
-            "seed": None if seed == "none" else int(seed),
-        },
-    )
+    header = lines[1] if len(lines) > 1 else ""
+    fields = dict(tok.split("=", 1) for tok in header.lstrip("# ").split() if "=" in tok)
+    if "kind" not in fields or "n" not in fields:
+        raise UsageError("family file needs a '# kind=... n=...' line")
+    try:
+        seed = fields.get("seed", "none")
+        cls = kind_class(fields["kind"])
+        return Family(
+            n=int(fields["n"]),
+            kind=fields["kind"],
+            members=tuple(cls(tuple(int(t) for t in ln.split())) for ln in lines[2:]),
+            meta={
+                "construction": fields.get("construction", "unknown"),
+                "seed": None if seed == "none" else int(seed),
+            },
+        )
+    except (SephamError, ValueError) as exc:
+        raise UsageError(f"bad family file: {exc}") from None
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -100,11 +94,14 @@ def _cmd_construct(args) -> int:
     elif which == "kernel-cycles":
         if args.edge is None:
             raise UsageError("kernel-cycles needs --edge U,V")
-        u, v = (int(t) for t in args.edge.split(","))
+        try:
+            u, v = (int(t) for t in args.edge.split(","))
+        except ValueError:
+            raise UsageError(f"--edge must be U,V, got {args.edge!r}") from None
         fam = constructions.kernel_cycle_family(args.n, (u, v))
     elif which == "walecki":
         cycles = constructions.walecki_decomposition(args.n)
-        fam = constructions.Family(
+        fam = Family(
             n=args.n,
             kind="cycles",
             members=tuple(cycles),
@@ -154,7 +151,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    seq = tuple(int(t) for t in args.perm.replace(",", " ").split())
+    try:
+        seq = tuple(int(t) for t in args.perm.replace(",", " ").split())
+    except ValueError:
+        raise UsageError(f"--perm must be integers, got {args.perm!r}") from None
     p = Permutation(seq)
     holds, bad_j = structure.property_uno_holds(p)
     rs = structure.run_structure(p)
@@ -235,65 +235,53 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _q_construction(n: int) -> str:
+    if n < 4:
+        return "-"
+    mode = "exact" if n // 2 <= constructions.DEFAULT_EXACT_CAP else "greedy"
+    try:
+        return str(len(constructions.bipartite_crossing_family(n, mode=mode, seed=0)))
+    except CapExceeded:  # the seeded greedy base is capped at n // 2 <= 8
+        return "-"
+
+
+def _mcy_construction(n: int) -> str:
+    return str(len(constructions.kernel_cycle_family(n, (1, 2)))) if n <= 9 else "-"
+
+
+#: Report tables: quantity, title, and the explicit construction column if any.
+_REPORT_TABLES = [
+    ("Q", "Crossing Hamilton path families", _q_construction),
+    ("R", "Two-separated permutation families", None),
+    ("Mcy", "Edge-sharing Hamilton cycle families", _mcy_construction),
+]
+
+
 def _cmd_report(args) -> int:
-    lo, hi = (int(t) for t in args.n_range.split(":"))
-    ns = list(range(lo, hi + 1))
+    try:
+        lo, hi = (int(t) for t in args.n_range.split(":"))
+    except ValueError:
+        raise UsageError(f"--n-range must be A:B, got {args.n_range!r}") from None
     out = []
-    out.append("## Crossing Hamilton path families (Q)\n")
-    out.append("| n | construction | greedy | exact | lower bound | upper bound |")
-    out.append("|---|---|---|---|---|---|")
-    for n in ns:
-        rec = bounds_mod.eval_bounds(n)
-        constr = "-"
-        if n >= 4 and n // 2 <= constructions.DEFAULT_EXACT_CAP:
-            constr = str(len(constructions.bipartite_crossing_family(n, mode="exact")))
-        elif n >= 4:
-            constr = str(
-                len(constructions.bipartite_crossing_family(n, mode="greedy", seed=0))
-            )
-        g = exact = "-"
-        if n <= args.oracle_max_n:
-            cfg = greedy.GreedyConfig(universe="paths", relation="crossing", n=n)
-            g = str(len(greedy.greedy_family(cfg)))
-            res = oracle.oracle_quantity("Q", n, time_limit=args.time_limit)
-            exact = str(res.value) + ("" if res.status == "exact" else "*")
-        out.append(
-            f"| {n} | {constr} | {g} | {exact} "
-            f"| {_frac(rec.q_lower_new)} | {_frac(rec.q_upper_kmm)} |"
-        )
-    out.append("")
-    out.append("## Two-separated permutation families (R)\n")
-    out.append("| n | greedy | exact | lower bound | upper bound |")
-    out.append("|---|---|---|---|---|")
-    for n in ns:
-        rec = bounds_mod.eval_bounds(n)
-        g = exact = "-"
-        if n <= min(args.oracle_max_n, 6):
-            cfg = greedy.GreedyConfig(universe="permutations", relation="two-separated", n=n)
-            g = str(len(greedy.greedy_family(cfg)))
-            res = oracle.oracle_quantity("R", n, time_limit=args.time_limit)
-            exact = str(res.value) + ("" if res.status == "exact" else "*")
-        out.append(
-            f"| {n} | {g} | {exact} | {_frac(rec.r_lower)} | {_frac(rec.r_upper)} |"
-        )
-    out.append("")
-    out.append("## Edge-sharing Hamilton cycle families (Mcy)\n")
-    out.append("| n | construction | greedy | exact | lower bound | upper bound |")
-    out.append("|---|---|---|---|---|---|")
-    for n in ns:
-        rec = bounds_mod.eval_bounds(n)
-        constr = str(len(constructions.kernel_cycle_family(n, (1, 2)))) if n <= 9 else "-"
-        g = exact = "-"
-        if n <= args.oracle_max_n:
-            cfg = greedy.GreedyConfig(universe="cycles", relation="shared-edge", n=n)
-            g = str(len(greedy.greedy_family(cfg)))
-            res = oracle.oracle_quantity("Mcy", n, time_limit=args.time_limit)
-            exact = str(res.value) + ("" if res.status == "exact" else "*")
-        upper = rec.mcy_lower if n % 2 else rec.mcy_upper_even
-        out.append(
-            f"| {n} | {constr} | {g} | {exact} | {_frac(rec.mcy_lower)} | {_frac(upper)} |"
-        )
-    out.append("")
+    for quantity, title, construction in _REPORT_TABLES:
+        universe, relation, max_n = oracle._QUANTITY_SPECS[quantity]
+        columns = ["n", "greedy", "exact", "lower bound", "upper bound"]
+        if construction:
+            columns.insert(1, "construction")
+        out.append(f"## {title} ({quantity})\n")
+        out.append("| " + " | ".join(columns) + " |")
+        out.append("|" + "---|" * len(columns))
+        for n in range(lo, hi + 1):
+            row = [str(n)] + ([construction(n)] if construction else [])
+            g = exact = "-"
+            if n <= min(args.oracle_max_n, max_n):
+                cfg = greedy.GreedyConfig(universe=universe, relation=relation, n=n)
+                g = str(len(greedy.greedy_family(cfg)))
+                res = oracle.oracle_quantity(quantity, n, time_limit=args.time_limit)
+                exact = str(res.value) + ("" if res.status == oracle.STATUS_EXACT else "*")
+            row += [g, exact, *(_frac(b) for b in oracle.sandwich(quantity, n))]
+            out.append("| " + " | ".join(row) + " |")
+        out.append("")
     out.append("`*` = best found within the time limit, not proven optimal.")
     _write_out("\n".join(out) + "\n", args.out)
     return 0

@@ -6,47 +6,25 @@ decomposition of K_n for odd n.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
+from dataclasses import replace
 from math import factorial
 from typing import Dict, Optional, Tuple
 
+from . import greedy
 from .core import (
-    HamiltonCycle,
+    Family,
     HamiltonPath,
-    Permutation,
     as_seq,
     canonical_cycle,
     cycle_edges,
     inverse,
+    sorted_family,
 )
 from .errors import BadEdge, CapExceeded, EvenN, SizeMismatch
 from .oracle import STATUS_EXACT, build_compatibility_graph, max_clique_exact
-from .relations import RELATIONS
 
 DEFAULT_EXACT_CAP = 6
 DEFAULT_FAMILY_CAP = 50_000
-
-
-@dataclass(frozen=True)
-class Family:
-    """An ordered, duplicate-free family of canonical objects."""
-
-    n: int
-    kind: str  # "paths" | "cycles" | "permutations"
-    members: Tuple
-    meta: Dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        seqs = [as_seq(m) for m in self.members]
-        if len(set(seqs)) != len(seqs):
-            raise ValueError("family members are not pairwise distinct")
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def seqs(self):
-        return [as_seq(m) for m in self.members]
 
 
 def bipartite_path(n: int, alpha) -> HamiltonPath:
@@ -72,51 +50,40 @@ def two_diff_family(
     m: int,
     mode: str = "exact",
     seed: Optional[int] = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
     time_limit: Optional[float] = None,
 ) -> Family:
     """A family of permutations of [m] that is pairwise value-separated.
 
     mode="exact" runs the clique oracle and returns a maximum family
-    (only up to the configured cap); mode="greedy" runs a maximal greedy
-    pass, optionally over a seed-shuffled order, at any m.
+    (only up to DEFAULT_EXACT_CAP); mode="greedy" runs the greedy engine,
+    in lexicographic order without a seed and in seed-shuffled order
+    (capped like any shuffled greedy) with one.
     """
     meta = {"construction": "two-diff", "mode": mode, "seed": seed}
-    relation = RELATIONS["value-separated"]
-    if mode == "exact":
-        if m > exact_cap:
-            raise CapExceeded(f"exact mode capped at m={exact_cap}, got {m}")
-        perms = list(itertools.permutations(range(1, m + 1)))
-        g = build_compatibility_graph(perms, relation, cap=factorial(exact_cap))
-        value, idx, status = max_clique_exact(g, time_limit=time_limit)
-        meta["status"] = status
-        members = sorted(g.objects[i] for i in idx)
-        if status == STATUS_EXACT and value != factorial(m) // 2 ** (m // 2):
-            raise AssertionError(
-                f"exact maximum {value} != m!/2^(m/2) = {factorial(m) // 2 ** (m // 2)}"
-            )
-    else:
-        perms = list(itertools.permutations(range(1, m + 1)))
-        if seed is not None:
-            random.Random(seed).shuffle(perms)
-        members = []
-        for p in perms:
-            if all(relation(p, q) for q in members):
-                members.append(p)
-        members.sort()
-    return Family(
-        n=m,
-        kind="permutations",
-        members=tuple(Permutation(s) for s in members),
-        meta=meta,
-    )
+    if mode != "exact":
+        cfg = greedy.GreedyConfig(
+            universe="permutations",
+            relation="value-separated",
+            n=m,
+            order="lex" if seed is None else "shuffle",
+            seed=seed,
+        )
+        return replace(greedy.greedy_family(cfg), meta=meta)
+    if m > DEFAULT_EXACT_CAP:
+        raise CapExceeded(f"exact mode capped at m={DEFAULT_EXACT_CAP}, got {m}")
+    perms = list(itertools.permutations(range(1, m + 1)))
+    g = build_compatibility_graph(perms, "value-separated")
+    value, idx, status = max_clique_exact(g, time_limit=time_limit)
+    meta["status"] = status
+    if status == STATUS_EXACT and value != factorial(m) // 2 ** (m // 2):
+        raise AssertionError(
+            f"exact maximum {value} != m!/2^(m/2) = {factorial(m) // 2 ** (m // 2)}"
+        )
+    return sorted_family("permutations", m, (g.objects[i] for i in idx), meta)
 
 
 def bipartite_crossing_family(
-    n: int,
-    mode: str = "exact",
-    seed: Optional[int] = None,
-    exact_cap: int = DEFAULT_EXACT_CAP,
+    n: int, mode: str = "exact", seed: Optional[int] = None
 ) -> Family:
     """The explicit pairwise-crossing family of alternating Hamilton paths.
 
@@ -128,28 +95,20 @@ def bipartite_crossing_family(
     if n < 4:
         raise SizeMismatch(f"need n >= 4, got {n}")
     m = n // 2
-    base = two_diff_family(m, mode=mode, seed=seed, exact_cap=exact_cap)
+    base = two_diff_family(m, mode=mode, seed=seed)
     inverses = [inverse(p) for p in base.members]
     by_last: Dict[int, list] = {}
     for p in inverses:
         by_last.setdefault(p.seq[-1], []).append(p)
     last = min(by_last, key=lambda v: (-len(by_last[v]), v))
-    chosen = by_last[last]
-    paths = sorted(
-        (bipartite_path(n, p) for p in chosen), key=lambda h: h.seq
-    )
-    return Family(
-        n=n,
-        kind="paths",
-        members=tuple(paths),
-        meta={
-            "construction": "bipartite-crossing",
-            "mode": mode,
-            "seed": seed,
-            "common_last": last,
-            "base_size": len(base),
-        },
-    )
+    paths = (bipartite_path(n, p).seq for p in by_last[last])
+    return sorted_family("paths", n, paths, {
+        "construction": "bipartite-crossing",
+        "mode": mode,
+        "seed": seed,
+        "common_last": last,
+        "base_size": len(base),
+    })
 
 
 def kernel_cycle_family(
@@ -164,14 +123,10 @@ def kernel_cycle_family(
     if factorial(n - 2) > cap:
         raise CapExceeded(f"(n-2)! = {factorial(n - 2)} exceeds cap {cap}")
     rest = [w for w in range(1, n + 1) if w not in (u, v)]
-    cycles = {canonical_cycle((u, v) + interior) for interior in itertools.permutations(rest)}
-    members = tuple(sorted(cycles, key=lambda c: c.seq))
-    return Family(
-        n=n,
-        kind="cycles",
-        members=members,
-        meta={"construction": "kernel-cycles", "edge": tuple(sorted((u, v)))},
-    )
+    cycles = ((u, v) + interior for interior in itertools.permutations(rest))
+    return sorted_family("cycles", n, cycles, {
+        "construction": "kernel-cycles", "edge": tuple(sorted((u, v))),
+    })
 
 
 def walecki_decomposition(n: int):

@@ -1,4 +1,5 @@
-"""Domain types: permutations, Hamilton paths and cycles, couple orders, degree profiles.
+"""Domain types: permutations, Hamilton paths and cycles, families, couple orders,
+degree profiles.
 
 All public values are 1-based: the ground set is [n] = {1, ..., n} and
 positions run from 1 to n.  Everything here is an immutable value type;
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence, Tuple, Union
 
-from .errors import CapExceeded, NotAPermutation, SizeMismatch
+from .errors import CapExceeded, NotAPermutation, SizeMismatch, UnknownKind
 
 #: Hard ceiling on the ground-set size.  Every universe in this library is
 #: factorial-sized, so a silent n=50 request would never finish.
@@ -94,6 +95,53 @@ class HamiltonCycle:
     @property
     def n(self) -> int:
         return len(self.seq)
+
+
+#: Member kind -> canonical class; a family's kind names one of these.
+KINDS = {
+    "permutations": Permutation,
+    "paths": HamiltonPath,
+    "cycles": HamiltonCycle,
+}
+
+
+def kind_class(kind: str) -> type:
+    """The canonical class of a member kind."""
+    try:
+        return KINDS[kind]
+    except KeyError:
+        raise UnknownKind(f"unknown kind {kind!r}") from None
+
+
+@dataclass(frozen=True)
+class Family:
+    """An ordered, duplicate-free family of canonical objects over [n]."""
+
+    n: int
+    kind: str  # a key of KINDS
+    members: Tuple
+    meta: Dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self) -> None:
+        seqs = self.seqs()
+        for s in seqs:
+            if len(s) != self.n:
+                raise SizeMismatch(f"member {s!r} of a family over [{self.n}]")
+        if len(set(seqs)) != len(seqs):
+            raise ValueError("family members are not pairwise distinct")
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def seqs(self):
+        return [as_seq(m) for m in self.members]
+
+
+def sorted_family(kind: str, n: int, seqs: Iterable[Seq], meta: Dict) -> Family:
+    """Family of the canonical forms of *seqs* as *kind* members, sorted by sequence."""
+    cls = kind_class(kind)
+    members = sorted((cls(s) for s in seqs), key=lambda o: o.seq)
+    return Family(n=n, kind=kind, members=tuple(members), meta=meta)
 
 
 @dataclass(frozen=True)

@@ -43,3 +43,7 @@ class UnknownRelation(SephamError):
 
 class UnknownUniverse(SephamError):
     """No universe registered under the given name."""
+
+
+class UnknownKind(SephamError):
+    """No member kind registered under the given name."""

@@ -13,20 +13,13 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
-from .constructions import Family
-from .core import HamiltonCycle, HamiltonPath, Permutation
+from .core import Family, sorted_family
 from .errors import CapExceeded, UnknownRelation
 from .relations import RELATIONS
 from .universes import get_universe, universe_size
 
 DEFAULT_UNIVERSE_CAP = factorial(10)
 DEFAULT_SHUFFLE_CAP = factorial(8)
-
-_KIND_TO_CLS = {
-    "permutations": Permutation,
-    "paths": HamiltonPath,
-    "cycles": HamiltonCycle,
-}
 
 
 @dataclass(frozen=True)
@@ -38,11 +31,7 @@ class GreedyConfig:
     seed: Optional[int] = None
 
 
-def greedy_family(
-    cfg: GreedyConfig,
-    universe_cap: int = DEFAULT_UNIVERSE_CAP,
-    shuffle_cap: int = DEFAULT_SHUFFLE_CAP,
-) -> Family:
+def greedy_family(cfg: GreedyConfig, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> Family:
     """Maximal pairwise-related family built by a single greedy pass.
 
     Identical config yields an identical family.  The shuffle order
@@ -60,10 +49,10 @@ def greedy_family(
     if cfg.order == "shuffle":
         if cfg.seed is None:
             raise ValueError("shuffle order requires a seed")
-        if size > shuffle_cap:
+        if size > DEFAULT_SHUFFLE_CAP:
             raise CapExceeded(
                 f"shuffle order materializes the universe; size {size} exceeds "
-                f"cap {shuffle_cap}"
+                f"cap {DEFAULT_SHUFFLE_CAP}"
             )
         candidates = list(enum(cfg.n))
         random.Random(cfg.seed).shuffle(candidates)
@@ -75,17 +64,10 @@ def greedy_family(
     for c in candidates:
         if all(relation(c, q) for q in admitted):
             admitted.append(c)
-    cls = _KIND_TO_CLS[kind]
-    members = sorted((cls(s) for s in admitted), key=lambda o: o.seq)
-    return Family(
-        n=cfg.n,
-        kind=kind,
-        members=tuple(members),
-        meta={
-            "construction": "greedy",
-            "universe": cfg.universe,
-            "relation": cfg.relation,
-            "order": cfg.order,
-            "seed": cfg.seed,
-        },
-    )
+    return sorted_family(kind, cfg.n, admitted, {
+        "construction": "greedy",
+        "universe": cfg.universe,
+        "relation": cfg.relation,
+        "order": cfg.order,
+        "seed": cfg.seed,
+    })

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
-from .core import HamiltonCycle, HamiltonPath, Permutation, as_seq
+from .core import Family, as_seq, sorted_family
 from .errors import CapExceeded, SephamError, UnknownRelation
 from .relations import RELATIONS
 from .universes import get_universe, universe_size
@@ -44,21 +44,18 @@ class OracleResult:
     quantity: str
     n: int
     value: int
-    witness: "Family"
+    witness: Family
     status: str
 
 
 def build_compatibility_graph(
-    objects: Sequence,
-    relation: Union[str, Callable],
-    cap: int = DEFAULT_VERTEX_CAP,
+    objects: Sequence, relation: str, cap: int = DEFAULT_VERTEX_CAP
 ) -> CompatibilityGraph:
-    """Full pairwise evaluation of the relation over the given objects."""
-    if isinstance(relation, str):
-        try:
-            relation = RELATIONS[relation]
-        except KeyError:
-            raise UnknownRelation(relation) from None
+    """Full pairwise evaluation of the named relation over the given objects."""
+    try:
+        rel = RELATIONS[relation]
+    except KeyError:
+        raise UnknownRelation(relation) from None
     seqs = [as_seq(o) for o in objects]
     if len(seqs) > cap:
         raise CapExceeded(f"{len(seqs)} vertices exceed cap {cap}")
@@ -67,7 +64,7 @@ def build_compatibility_graph(
     for i in range(n):
         si = seqs[i]
         for j in range(i + 1, n):
-            if relation(si, seqs[j]):
+            if rel(si, seqs[j]):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return CompatibilityGraph(objects=seqs, adj=adj)
@@ -150,7 +147,7 @@ def max_clique_exact(
 
 
 _QUANTITY_SPECS = {
-    # quantity -> (universe, relation, default max n)
+    # quantity -> (universe, relation, max n)
     "Q": ("paths", "crossing", 7),
     "B": ("bipartite-paths", "crossing", 8),
     "R": ("permutations", "two-separated", 6),
@@ -158,62 +155,50 @@ _QUANTITY_SPECS = {
 }
 
 
+def sandwich(quantity: str, n: int) -> Tuple:
+    """The closed-form (lower, upper) bounds on the quantity at n."""
+    rec = bounds_mod.eval_bounds(n)
+    if quantity in ("Q", "B"):
+        # the explicit construction lives in the bipartite graph, and any
+        # bipartite crossing family is also one in K_n
+        return rec.q_lower_new, rec.q_upper_kmm
+    if quantity == "R":
+        return rec.r_lower, rec.r_upper
+    if quantity == "Mcy":
+        return rec.mcy_lower, rec.mcy_lower if n % 2 else rec.mcy_upper_even
+    raise SephamError(f"unknown quantity {quantity!r}")
+
+
 def oracle_quantity(
-    quantity: str,
-    n: int,
-    time_limit: Optional[float] = None,
-    max_n: Optional[int] = None,
-    cap: int = DEFAULT_VERTEX_CAP,
+    quantity: str, n: int, time_limit: Optional[float] = None
 ) -> OracleResult:
     """Exact value of Q(n), B(n), R(n) or Mcy(n) with an attaining witness."""
-    from .constructions import Family  # local import to avoid a cycle
-
     try:
-        universe, relation, default_max = _QUANTITY_SPECS[quantity]
+        universe, relation, max_n = _QUANTITY_SPECS[quantity]
     except KeyError:
         raise SephamError(f"unknown quantity {quantity!r}") from None
-    limit = max_n if max_n is not None else default_max
-    if n > limit:
-        raise CapExceeded(f"{quantity}({n}) exceeds the configured max n={limit}")
-    if universe_size(universe, n) > cap:
+    if n > max_n:
+        raise CapExceeded(f"{quantity}({n}) exceeds the configured max n={max_n}")
+    size = universe_size(universe, n)
+    if size > DEFAULT_VERTEX_CAP:
         raise CapExceeded(
-            f"{quantity}({n}): universe {universe} has {universe_size(universe, n)} "
-            f"members, cap is {cap}"
+            f"{quantity}({n}): universe {universe} has {size} "
+            f"members, cap is {DEFAULT_VERTEX_CAP}"
         )
     enum, kind = get_universe(universe)
-    objects = list(enum(n))
-    g = build_compatibility_graph(objects, relation, cap=cap)
+    g = build_compatibility_graph(list(enum(n)), relation)
     value, idx, status = max_clique_exact(g, time_limit=time_limit)
-    members = _typed_members(kind, [g.objects[i] for i in idx])
-    witness = Family(
-        n=n,
-        kind=kind,
-        members=tuple(members),
-        meta={"construction": "oracle", "quantity": quantity, "status": status},
+    witness = sorted_family(
+        kind, n, (g.objects[i] for i in idx),
+        {"construction": "oracle", "quantity": quantity, "status": status},
     )
     if status == STATUS_EXACT:
         _sandwich_check(quantity, n, value)
     return OracleResult(quantity=quantity, n=n, value=value, witness=witness, status=status)
 
 
-def _typed_members(kind: str, seqs):
-    cls = {"permutations": Permutation, "paths": HamiltonPath, "cycles": HamiltonCycle}[kind]
-    return sorted((cls(s) for s in seqs), key=lambda o: o.seq)
-
-
 def _sandwich_check(quantity: str, n: int, value: int) -> None:
-    rec = bounds_mod.eval_bounds(n)
-    if quantity == "Q":
-        lower, upper = rec.q_lower_new, rec.q_upper_kmm
-    elif quantity == "B":
-        # the explicit construction lives in the bipartite graph, and any
-        # bipartite crossing family is also one in K_n
-        lower, upper = rec.q_lower_new, rec.q_upper_kmm
-    elif quantity == "R":
-        lower, upper = rec.r_lower, rec.r_upper
-    else:  # Mcy
-        lower = rec.mcy_lower
-        upper = rec.mcy_lower if n % 2 else rec.mcy_upper_even
+    lower, upper = sandwich(quantity, n)
     if not lower <= value <= upper:
         raise SephamError(
             f"{quantity}({n}) = {value} violates the bound sandwich "

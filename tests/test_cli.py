@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from sepham.cli import parse_family, run, serialize_family
+from sepham.cli import UsageError, parse_family, run, serialize_family
 from sepham.constructions import kernel_cycle_family
 
 
@@ -28,10 +29,33 @@ class TestFamilyFile:
         assert lines[1].startswith("# kind=cycles n=4 construction=kernel-cycles")
 
     def test_rejects_foreign_file(self):
-        from sepham.cli import UsageError
-
         with pytest.raises(UsageError):
             parse_family("not a family\n1 2 3\n")
+
+
+class TestMalformedFamilyFile:
+    """Each malformed file is a UsageError from parse_family and exit 1 from verify."""
+
+    def check(self, tmp_path, text):
+        with pytest.raises(UsageError):
+            parse_family(text)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert run(["verify", "--relation", "crossing", "--family", str(bad)]) == 1
+
+    def test_header_without_kind(self, tmp_path):
+        self.check(tmp_path, "# sepham family v1\n# n=4 seed=none\n1 2 3 4\n")
+
+    def test_header_only(self, tmp_path):
+        self.check(tmp_path, "# sepham family v1\n")
+
+    def test_unknown_kind(self, tmp_path):
+        self.check(tmp_path, "# sepham family v1\n# kind=blobs n=4 seed=none\n1 2 3 4\n")
+
+    def test_member_size_differs_from_n(self, tmp_path):
+        self.check(
+            tmp_path, "# sepham family v1\n# kind=paths n=5 seed=none\n1 2 3 4 5 6\n"
+        )
 
 
 class TestConstructVerify:
@@ -105,6 +129,18 @@ class TestUsageErrors:
     def test_config_error_exits_1(self):
         assert run(["oracle", "--quantity", "R", "--n", "9"]) == 1
 
+    def test_malformed_edge(self, capsys):
+        assert run(["construct", "--which", "kernel-cycles", "--n", "5", "--edge", "1"]) == 1
+        assert "--edge" in capsys.readouterr().err
+
+    def test_malformed_perm(self, capsys):
+        assert run(["analyze", "--perm", "a_b"]) == 1
+        assert "--perm" in capsys.readouterr().err
+
+    def test_malformed_n_range(self, capsys):
+        assert run(["report", "--n-range", "4"]) == 1
+        assert "--n-range" in capsys.readouterr().err
+
 
 class TestAnalyzeOracleBounds:
     def test_analyze(self, capsys):
@@ -136,3 +172,48 @@ class TestAnalyzeOracleBounds:
         text = read(out)
         assert "| n |" in text
         assert "## Two-separated permutation families (R)" in text
+
+    def test_report_past_the_construction_caps(self, tmp_path):
+        out = tmp_path / "report.md"
+        assert run(["report", "--n-range", "18:18", "--oracle-max-n", "4",
+                    "--out", str(out)]) == 0
+        assert "| 18 | - | - | - |" in read(out)
+
+
+def _sha256_of_output(tmp_path, argv):
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Outputs pinned byte for byte; the digests were taken before the
+    greedy and report code paths were unified."""
+
+    def test_report(self, tmp_path):
+        argv = ["report", "--n-range", "4:5", "--oracle-max-n", "5"]
+        assert _sha256_of_output(tmp_path, argv) == (
+            "526e30a3a4ea066e98600e4818b315f25e171c5c716c49ec8983a0041a38615f"
+        )
+
+    def test_two_diff_greedy(self, tmp_path):
+        argv = ["construct", "--which", "two-diff", "--mode", "greedy", "--seed", "7",
+                "--n", "6"]
+        assert _sha256_of_output(tmp_path, argv) == (
+            "cdeeeed87989b306d1b290618c74c6f6e35c3013667c5fb5da5fad56bcab5489"
+        )
+
+    def test_bipartite_crossing_greedy(self, tmp_path):
+        argv = ["construct", "--which", "bipartite-crossing", "--mode", "greedy",
+                "--seed", "3", "--n", "12"]
+        assert _sha256_of_output(tmp_path, argv) == (
+            "67a966cc6b300f55c302a6d5a4f64e0cb70d14c719a12c5a1e6de82480c25e91"
+        )
+
+    def test_report_skips_n_beyond_each_quantity_max_n(self, tmp_path):
+        # Q, R and Mcy are capped at n=7, 6 and 7, so n=8 has no oracle columns
+        argv = ["report", "--n-range", "8:8", "--oracle-max-n"]
+        assert _sha256_of_output(tmp_path, argv + ["8"]) == _sha256_of_output(
+            tmp_path, argv + ["7"]
+        )
+        assert "| 8 | 2 | - | - | 3/2 | 105 |" in read(tmp_path / "out.txt")

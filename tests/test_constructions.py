@@ -1,8 +1,10 @@
 import itertools
+import time
 from math import factorial
 
 import pytest
 
+from sepham import core
 from sepham.constructions import (
     Family,
     bipartite_crossing_family,
@@ -62,6 +64,12 @@ class TestTwoDiffFamily:
     def test_exact_cap(self):
         with pytest.raises(CapExceeded):
             two_diff_family(7, mode="exact")
+
+    def test_seeded_greedy_cap(self):
+        t0 = time.monotonic()
+        with pytest.raises(CapExceeded):
+            two_diff_family(9, mode="greedy", seed=1)
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestBipartiteCrossingFamily:
@@ -159,3 +167,10 @@ class TestFamily:
         c = canonical_cycle((1, 2, 3, 4))
         with pytest.raises(ValueError):
             Family(n=4, kind="cycles", members=(c, c))
+
+    def test_rejects_member_of_another_size(self):
+        with pytest.raises(SizeMismatch):
+            Family(n=4, kind="cycles", members=(canonical_cycle((1, 2, 3, 4, 5)),))
+
+    def test_is_the_core_type(self):
+        assert Family is core.Family
