@@ -18,6 +18,9 @@ from .errors import DomainError
 
 Interval = Tuple[Fraction, Fraction]
 
+#: Smallest n at which every closed-form bound is defined.
+MIN_N = 3
+
 _SQRT2_DIGITS = 40
 
 
@@ -63,9 +66,9 @@ class BoundsRecord:
 
 
 def eval_bounds(n: int) -> BoundsRecord:
-    """Evaluate all closed-form bounds at n (n >= 3)."""
-    if n < 3:
-        raise DomainError(f"bounds need n >= 3, got {n}")
+    """Evaluate all closed-form bounds at n (n >= MIN_N)."""
+    if n < MIN_N:
+        raise DomainError(f"bounds need n >= {MIN_N}, got {n}")
     m = n // 2
     lo, hi = sqrt2_interval()
     base = (1 + lo, 1 + hi)

@@ -134,6 +134,9 @@ def _cmd_verify(args) -> int:
         rel = relations.RELATIONS[args.relation]
     except KeyError:
         raise UsageError(f"unknown relation {args.relation!r}")
+    # shared-edge is the only relation defined on cycles, and only on them
+    if (args.relation == "shared-edge") != (fam.kind == "cycles"):
+        raise UsageError(f"relation {args.relation} does not apply to kind={fam.kind}")
     pairs = 0
     for i in range(len(seqs)):
         for j in range(i + 1, len(seqs)):

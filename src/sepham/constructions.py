@@ -20,7 +20,7 @@ from .core import (
     inverse,
     sorted_family,
 )
-from .errors import BadEdge, CapExceeded, EvenN, SizeMismatch
+from .errors import BadEdge, CapExceeded, DomainError, EvenN, SizeMismatch
 from .oracle import STATUS_EXACT, build_compatibility_graph, max_clique_exact
 
 DEFAULT_EXACT_CAP = 6
@@ -69,6 +69,8 @@ def two_diff_family(
             seed=seed,
         )
         return replace(greedy.greedy_family(cfg), meta=meta)
+    if m < 1:
+        raise DomainError(f"exact mode needs m >= 1, got {m}")
     if m > DEFAULT_EXACT_CAP:
         raise CapExceeded(f"exact mode capped at m={DEFAULT_EXACT_CAP}, got {m}")
     perms = list(itertools.permutations(range(1, m + 1)))

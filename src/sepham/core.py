@@ -9,7 +9,7 @@ operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Iterable, Sequence, Tuple, Union
 
 from .errors import CapExceeded, NotAPermutation, SizeMismatch, UnknownKind
 
@@ -52,9 +52,10 @@ class Permutation:
     """A linear order of [n]; doubles as a consecutively oriented Hamilton path."""
 
     seq: Seq
+    MIN_N: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seq", check_perm_seq(self.seq))
+        object.__setattr__(self, "seq", check_perm_seq(self.seq, self.MIN_N))
 
     @property
     def n(self) -> int:
@@ -66,9 +67,10 @@ class HamiltonPath:
     """An undirected Hamilton path of K_n, stored with its smaller endpoint first."""
 
     seq: Seq
+    MIN_N: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
-        seq = check_perm_seq(self.seq, min_n=2)
+        seq = check_perm_seq(self.seq, self.MIN_N)
         if seq[0] > seq[-1]:
             seq = seq[::-1]
         object.__setattr__(self, "seq", seq)
@@ -83,9 +85,10 @@ class HamiltonCycle:
     """A Hamilton cycle of K_n, rotated to start at 1 and oriented so seq[2] < seq[n]."""
 
     seq: Seq
+    MIN_N: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
-        seq = check_perm_seq(self.seq, min_n=3)
+        seq = check_perm_seq(self.seq, self.MIN_N)
         i = seq.index(1)
         seq = seq[i:] + seq[:i]
         if seq[1] > seq[-1]:

@@ -34,7 +34,7 @@ class PositionOutOfRange(SephamError):
 
 
 class DomainError(SephamError):
-    """A closed-form bound is undefined at the requested parameters."""
+    """A closed-form bound or a universe is undefined at the requested parameters."""
 
 
 class UnknownRelation(SephamError):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
-from .core import Family, sorted_family
-from .errors import CapExceeded, UnknownRelation
+from .core import Family, kind_class, sorted_family
+from .errors import CapExceeded, DomainError, UnknownRelation
 from .relations import RELATIONS
 from .universes import get_universe, universe_size
 
@@ -43,6 +43,9 @@ def greedy_family(cfg: GreedyConfig, universe_cap: int = DEFAULT_UNIVERSE_CAP) -
     except KeyError:
         raise UnknownRelation(cfg.relation) from None
     enum, kind = get_universe(cfg.universe)
+    min_n = kind_class(kind).MIN_N
+    if cfg.n < min_n:
+        raise DomainError(f"universe {cfg.universe} needs n >= {min_n}, got {cfg.n}")
     size = universe_size(cfg.universe, cfg.n)
     if size > universe_cap:
         raise CapExceeded(f"universe size {size} exceeds cap {universe_cap}")

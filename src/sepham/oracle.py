@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
 from .core import Family, as_seq, sorted_family
-from .errors import CapExceeded, SephamError, UnknownRelation
+from .errors import CapExceeded, DomainError, SephamError, UnknownRelation
 from .relations import RELATIONS
 from .universes import get_universe, universe_size
 
@@ -172,11 +172,19 @@ def sandwich(quantity: str, n: int) -> Tuple:
 def oracle_quantity(
     quantity: str, n: int, time_limit: Optional[float] = None
 ) -> OracleResult:
-    """Exact value of Q(n), B(n), R(n) or Mcy(n) with an attaining witness."""
+    """Exact value of Q(n), B(n), R(n) or Mcy(n) with an attaining witness.
+
+    Every quantity's compatibility graph is vertex-transitive: relabelling
+    [n] (for B, each side of the bipartition separately) moves any member
+    to any other and preserves the relation.  So some maximum clique
+    contains the first member, and only its neighbourhood is searched.
+    """
     try:
         universe, relation, max_n = _QUANTITY_SPECS[quantity]
     except KeyError:
         raise SephamError(f"unknown quantity {quantity!r}") from None
+    if n < bounds_mod.MIN_N:
+        raise DomainError(f"{quantity}({n}) needs n >= {bounds_mod.MIN_N}")
     if n > max_n:
         raise CapExceeded(f"{quantity}({n}) exceeds the configured max n={max_n}")
     size = universe_size(universe, n)
@@ -186,10 +194,13 @@ def oracle_quantity(
             f"members, cap is {DEFAULT_VERTEX_CAP}"
         )
     enum, kind = get_universe(universe)
-    g = build_compatibility_graph(list(enum(n)), relation)
-    value, idx, status = max_clique_exact(g, time_limit=time_limit)
+    first, *rest = enum(n)
+    related = RELATIONS[relation]
+    g = build_compatibility_graph([o for o in rest if related(first, o)], relation)
+    rest_size, idx, status = max_clique_exact(g, time_limit=time_limit)
+    value = 1 + rest_size
     witness = sorted_family(
-        kind, n, (g.objects[i] for i in idx),
+        kind, n, [first] + [g.objects[i] for i in idx],
         {"construction": "oracle", "quantity": quantity, "status": status},
     )
     if status == STATUS_EXACT:

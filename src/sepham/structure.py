@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from .core import Permutation, as_seq, positions
-from .errors import CapExceeded, PositionOutOfRange
+from .errors import CapExceeded, NotAPermutation, PositionOutOfRange
 from .relations import is_two_separated
 
 #: Differences that can NOT launch a run of big jumps.
@@ -89,6 +89,8 @@ def run_structure(p) -> RunStructure:
     """
     seq = as_seq(p)
     n = len(seq)
+    if n < 2:
+        raise NotAPermutation("run structure needs n >= 2")
     runs = []
     i = 0
     while i < n - 1:

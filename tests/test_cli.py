@@ -141,6 +141,39 @@ class TestUsageErrors:
         assert run(["report", "--n-range", "4"]) == 1
         assert "--n-range" in capsys.readouterr().err
 
+    def test_oracle_n_zero(self, capsys):
+        assert run(["oracle", "--quantity", "Q", "--n", "0"]) == 1
+        assert "needs n >= 3" in capsys.readouterr().err
+
+    def test_oracle_negative_n(self, capsys):
+        assert run(["oracle", "--quantity", "R", "--n", "-1"]) == 1
+        assert "needs n >= 3" in capsys.readouterr().err
+
+    def test_greedy_n_below_the_universe_minimum(self, capsys):
+        assert run(["construct", "--which", "greedy", "--universe", "paths",
+                    "--relation", "crossing", "--n", "0"]) == 1
+        assert "needs n >= 2" in capsys.readouterr().err
+
+    def test_two_diff_exact_negative_m(self, capsys):
+        assert run(["construct", "--which", "two-diff", "--n", "-1"]) == 1
+        assert "needs m >= 1" in capsys.readouterr().err
+
+    def test_analyze_one_element_perm(self, capsys):
+        assert run(["analyze", "--perm", "1"]) == 1
+        assert "needs n >= 2" in capsys.readouterr().err
+
+    def test_verify_relation_of_another_kind(self, tmp_path, capsys):
+        cycles, paths = tmp_path / "cycles.txt", tmp_path / "paths.txt"
+        assert run(["construct", "--which", "kernel-cycles", "--n", "5", "--edge", "1,2",
+                    "--out", str(cycles)]) == 0
+        assert run(["construct", "--which", "bipartite-crossing", "--n", "8",
+                    "--out", str(paths)]) == 0
+        assert run(["verify", "--relation", "two-separated", "--family", str(cycles)]) == 1
+        assert run(["verify", "--relation", "shared-edge", "--family", str(paths)]) == 1
+        err = capsys.readouterr().err
+        assert "does not apply to kind=cycles" in err
+        assert "does not apply to kind=paths" in err
+
 
 class TestAnalyzeOracleBounds:
     def test_analyze(self, capsys):

@@ -1,9 +1,13 @@
+import functools
 import itertools
+import random
 
 import pytest
 
-from sepham.errors import CapExceeded, SephamError
+from sepham.core import kind_class
+from sepham.errors import CapExceeded, DomainError, SephamError
 from sepham.oracle import (
+    _QUANTITY_SPECS,
     STATUS_EXACT,
     STATUS_TIMEOUT,
     CompatibilityGraph,
@@ -11,8 +15,30 @@ from sepham.oracle import (
     max_clique_exact,
     oracle_quantity,
 )
-from sepham.relations import RELATIONS
-from sepham.universes import hamilton_cycles, hamilton_paths
+from sepham.relations import (
+    RELATIONS,
+    cycles_degree3_equiv,
+    is_crossing,
+    is_two_separated,
+    verify_witness,
+)
+from sepham.universes import get_universe, hamilton_cycles, hamilton_paths
+
+#: Relation name -> witness finder, for re-verifying oracle witnesses.
+WITNESS = {
+    "crossing": is_crossing,
+    "two-separated": is_two_separated,
+    "shared-edge": lambda a, b: cycles_degree3_equiv(a, b)[2],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def full_graph_search(quantity, n):
+    """The quantity's compatibility graph on the whole universe and its exact search."""
+    universe, relation, _ = _QUANTITY_SPECS[quantity]
+    enum, _ = get_universe(universe)
+    g = build_compatibility_graph(list(enum(n)), relation)
+    return g, max_clique_exact(g)
 
 
 class TestBuildGraph:
@@ -73,8 +99,7 @@ class TestMaxClique:
         assert value == 6 and status == STATUS_EXACT
 
     def test_witness_is_a_clique(self):
-        g = build_compatibility_graph(list(hamilton_paths(6)), "crossing")
-        value, witness, status = max_clique_exact(g)
+        g, (value, witness, status) = full_graph_search("Q", 6)
         assert status == STATUS_EXACT
         for i, j in itertools.combinations(witness, 2):
             assert g.adj[i] >> j & 1
@@ -129,3 +154,124 @@ class TestOracleQuantity:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             oracle_quantity("R", 9)
+
+    def test_n_below_the_bounds_floor(self):
+        for quantity in _QUANTITY_SPECS:
+            with pytest.raises(DomainError):
+                oracle_quantity(quantity, 2)
+        with pytest.raises(DomainError):
+            oracle_quantity("R", -1)
+
+
+def _brute_force_clique_number(adj):
+    # is_clique[s] for every vertex subset s, from s minus its lowest vertex
+    is_clique = [True] * (1 << len(adj))
+    best = 0
+    for s in range(1, 1 << len(adj)):
+        low = (s & -s).bit_length() - 1
+        rest = s & (s - 1)
+        is_clique[s] = is_clique[rest] and adj[low] & rest == rest
+        if is_clique[s]:
+            best = max(best, bin(s).count("1"))
+    return best
+
+
+def test_max_clique_exact_matches_subset_enumeration():
+    for seed in range(30):
+        rng = random.Random(seed)
+        nv = rng.randint(1, 14)
+        density = rng.uniform(0.2, 0.8)
+        adj = [0] * nv
+        for i, j in itertools.combinations(range(nv), 2):
+            if rng.random() < density:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        g = CompatibilityGraph(objects=[(v,) for v in range(nv)], adj=adj)
+        value, witness, status = max_clique_exact(g)
+        assert status == STATUS_EXACT
+        assert value == len(witness) == _brute_force_clique_number(adj), f"seed {seed}"
+        for i, j in itertools.combinations(witness, 2):
+            assert adj[i] >> j & 1
+
+
+#: Known values of the largest cases.
+PINNED = {("Q", 6): 7, ("B", 8): 8, ("R", 5): 4, ("Mcy", 6): 24}
+
+
+@pytest.mark.parametrize(
+    "quantity,n",
+    [("Q", n) for n in range(4, 7)]
+    + [("B", n) for n in range(4, 9)]
+    + [("R", n) for n in range(4, 6)]
+    + [("Mcy", n) for n in range(5, 7)],
+)
+def test_neighbourhood_search_equals_full_graph_search(quantity, n):
+    res = oracle_quantity(quantity, n)
+    _, (value, _, status) = full_graph_search(quantity, n)
+    assert res.status == status == STATUS_EXACT
+    assert res.value == value == PINNED.get((quantity, n), value)
+    universe, relation, _ = _QUANTITY_SPECS[quantity]
+    seqs = res.witness.seqs()
+    assert len(seqs) == res.value
+    assert set(seqs) <= set(get_universe(universe)[0](n))
+    for a, b in itertools.combinations(seqs, 2):
+        w = WITNESS[relation](a, b)
+        assert w is not None and verify_witness(a, b, w)
+
+
+#: The n checked per quantity.  Every _QUANTITY_SPECS entry needs one: the
+#: oracle searches only the first member's neighbourhood, which is sound
+#: only for a vertex-transitive compatibility graph.
+SYMMETRY_NS = {"Q": range(4, 7), "B": range(4, 9), "R": range(4, 7), "Mcy": range(5, 8)}
+ALL_PAIRS_MAX = 120
+SAMPLED_PAIRS = 2000
+
+
+def relabelling_generators(universe, n):
+    """A transposition and a full cycle on [n] as maps of [n]; for the
+    bipartite universe, the same on each side of the bipartition (S_A x S_B)."""
+    if universe == "bipartite-paths":
+        sides = [range(1, n // 2 + 1), range(n // 2 + 1, n + 1)]
+    else:
+        sides = [range(1, n + 1)]
+    gens = []
+    for side in sides:
+        vs = list(side)
+        for step in ({vs[0]: vs[1], vs[1]: vs[0]}, dict(zip(vs, vs[1:] + vs[:1]))):
+            g = {v: v for v in range(1, n + 1)}
+            g.update(step)
+            gens.append(g)
+    return gens
+
+
+@pytest.mark.parametrize("quantity", sorted(_QUANTITY_SPECS))
+def test_compatibility_graph_is_vertex_transitive(quantity):
+    universe, relation, _ = _QUANTITY_SPECS[quantity]
+    enum, kind = get_universe(universe)
+    cls = kind_class(kind)
+    related = RELATIONS[relation]
+    for n in SYMMETRY_NS[quantity]:
+        objects = list(enum(n))
+        members = set(objects)
+        images = [
+            {o: cls(tuple(g[v] for v in o)).seq for o in objects}
+            for g in relabelling_generators(universe, n)
+        ]
+        for image in images:
+            assert set(image.values()) == members
+        orbit, todo = {objects[0]}, [objects[0]]
+        while todo:
+            o = todo.pop()
+            for image in images:
+                if image[o] not in orbit:
+                    orbit.add(image[o])
+                    todo.append(image[o])
+        assert orbit == members, f"{quantity}({n}): the first member's orbit is not the universe"
+        if len(objects) <= ALL_PAIRS_MAX:
+            pairs = itertools.combinations(objects, 2)
+        else:
+            rng = random.Random(n)
+            pairs = (rng.sample(objects, 2) for _ in range(SAMPLED_PAIRS))
+        for a, b in pairs:
+            for image in images:
+                assert related(image[a], image[b]) == related(a, b), (quantity, n, a, b)
