@@ -51,6 +51,7 @@ from .relations import (
     is_two_different,
     is_two_separated,
     is_value_separated,
+    shares_edge,
     verify_witness,
 )
 from .structure import (

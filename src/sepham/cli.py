@@ -129,14 +129,8 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.family) as f:
         fam = parse_family(f.read())
+    rel = relations.require(args.relation, fam.kind)
     seqs = fam.seqs()
-    try:
-        rel = relations.RELATIONS[args.relation]
-    except KeyError:
-        raise UsageError(f"unknown relation {args.relation!r}")
-    # shared-edge is the only relation defined on cycles, and only on them
-    if (args.relation == "shared-edge") != (fam.kind == "cycles"):
-        raise UsageError(f"relation {args.relation} does not apply to kind={fam.kind}")
     pairs = 0
     for i in range(len(seqs)):
         for j in range(i + 1, len(seqs)):
@@ -265,6 +259,8 @@ def _cmd_report(args) -> int:
         lo, hi = (int(t) for t in args.n_range.split(":"))
     except ValueError:
         raise UsageError(f"--n-range must be A:B, got {args.n_range!r}") from None
+    if lo > hi:
+        raise UsageError(f"--n-range A:B needs A <= B, got {args.n_range!r}")
     out = []
     for quantity, title, construction in _REPORT_TABLES:
         universe, relation, max_n = oracle._QUANTITY_SPECS[quantity]
@@ -344,13 +340,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SephamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SephamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

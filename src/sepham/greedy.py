@@ -14,8 +14,8 @@ from math import factorial
 from typing import Optional
 
 from .core import Family, kind_class, sorted_family
-from .errors import CapExceeded, DomainError, UnknownRelation
-from .relations import RELATIONS
+from .errors import CapExceeded, DomainError
+from .relations import RELATIONS, require
 from .universes import get_universe, universe_size
 
 DEFAULT_UNIVERSE_CAP = factorial(10)
@@ -38,11 +38,11 @@ def greedy_family(cfg: GreedyConfig, universe_cap: int = DEFAULT_UNIVERSE_CAP) -
     materializes the universe and therefore has a tighter cap than
     lexicographic streaming.
     """
-    try:
-        relation = RELATIONS[cfg.relation]
-    except KeyError:
-        raise UnknownRelation(cfg.relation) from None
     enum, kind = get_universe(cfg.universe)
+    require(cfg.relation, kind)
+    # read from this module's RELATIONS, so that a caller who replaces it
+    # (with counting wrappers, say) sees every call
+    relation = RELATIONS[cfg.relation]
     min_n = kind_class(kind).MIN_N
     if cfg.n < min_n:
         raise DomainError(f"universe {cfg.universe} needs n >= {min_n}, got {cfg.n}")

@@ -14,8 +14,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
 from .core import Family, as_seq, sorted_family
-from .errors import CapExceeded, DomainError, SephamError, UnknownRelation
-from .relations import RELATIONS
+from .errors import CapExceeded, DomainError, SephamError
+from .relations import RELATIONS, require
 from .universes import get_universe, universe_size
 
 DEFAULT_VERTEX_CAP = 10_000
@@ -52,10 +52,7 @@ def build_compatibility_graph(
     objects: Sequence, relation: str, cap: int = DEFAULT_VERTEX_CAP
 ) -> CompatibilityGraph:
     """Full pairwise evaluation of the named relation over the given objects."""
-    try:
-        rel = RELATIONS[relation]
-    except KeyError:
-        raise UnknownRelation(relation) from None
+    rel = require(relation)
     seqs = [as_seq(o) for o in objects]
     if len(seqs) > cap:
         raise CapExceeded(f"{len(seqs)} vertices exceed cap {cap}")

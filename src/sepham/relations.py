@@ -1,4 +1,5 @@
-"""Pairwise separation predicates, each returning a re-verifiable witness.
+"""Pairwise separation predicates, each returning a re-verifiable witness
+(truthy) or None.
 
 Witness tie-breaking is deterministic: the smallest qualifying vertex,
 position, or edge under natural ordering is returned.
@@ -10,42 +11,26 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .core import as_seq, cycle_edges, positions, same_n, union_degree_profile
-from .errors import SameCycle
-
-CROSSING_VERTEX = "CrossingVertex"
-TWO_DIFFERENT_ELEMENT = "TwoDifferentElement"
-VALUE_SEPARATED_POSITION = "ValueSeparatedPosition"
-TWO_SEPARATED_VERTEX = "TwoSeparatedVertex"
-SHARED_EDGE = "SharedEdge"
+from .errors import DomainError, SameCycle, UnknownRelation
 
 
 @dataclass(frozen=True)
 class Witness:
-    kind: str
+    kind: str  # the relation name
     payload: object
-
-
-def _neighbors(seq):
-    n = len(seq)
-    nb = {v: set() for v in seq}
-    for i, v in enumerate(seq):
-        if i > 0:
-            nb[v].add(seq[i - 1])
-        if i < n - 1:
-            nb[v].add(seq[i + 1])
-    return nb
 
 
 def is_crossing(p, q) -> Optional[Witness]:
     """Smallest vertex of union degree 4, i.e. internal in both paths with
-    disjoint neighbor pairs; None if the paths are not crossing."""
+    four distinct neighbours; None if the paths are not crossing."""
     a, b = as_seq(p), as_seq(q)
     n = same_n(a, b)
-    na, nb = _neighbors(a), _neighbors(b)
+    pa, pb = positions(a), positions(b)
     for v in range(1, n + 1):
-        sa, sb = na[v], nb[v]
-        if len(sa) == 2 and len(sb) == 2 and not (sa & sb):
-            return Witness(CROSSING_VERTEX, v)
+        i, j = pa[v], pb[v]
+        if 1 < i < n and 1 < j < n:
+            if len({a[i - 2], a[i], b[j - 2], b[j]}) == 4:
+                return Witness("crossing", v)
     return None
 
 
@@ -57,7 +42,7 @@ def is_two_different(a, b) -> Optional[Witness]:
     for e in range(1, n + 1):
         i, j = px[e], py[e]
         if abs(i - j) >= 2 and i != n and j != n:
-            return Witness(TWO_DIFFERENT_ELEMENT, e)
+            return Witness("two-different", e)
     return None
 
 
@@ -67,7 +52,7 @@ def is_value_separated(a, b) -> Optional[Witness]:
     same_n(x, y)
     for i, (u, v) in enumerate(zip(x, y), start=1):
         if abs(u - v) >= 2:
-            return Witness(VALUE_SEPARATED_POSITION, i)
+            return Witness("value-separated", i)
     return None
 
 
@@ -81,8 +66,24 @@ def is_two_separated(a, b) -> Optional[Witness]:
         i, j = px[e], py[e]
         if i <= n - 2 and j <= n - 2:
             if len({x[i], x[i + 1], y[j], y[j + 1]}) == 4:
-                return Witness(TWO_SEPARATED_VERTEX, e)
+                return Witness("two-separated", e)
     return None
+
+
+def shares_edge(c, d) -> Optional[Witness]:
+    """Smallest edge (u, v), u < v, of both cycles; None for edge-disjoint
+    cycles and for identical sequences, as the relation is irreflexive."""
+    x, y = as_seq(c), as_seq(d)
+    n = same_n(x, y)
+    if x == y:
+        return None
+    py = positions(y)
+    shared = [
+        (u, v) if u < v else (v, u)
+        for u, v in zip(x, x[1:] + x[:1])
+        if v in (y[py[u] - 2], y[py[u] % n])
+    ]
+    return Witness("shared-edge", min(shared)) if shared else None
 
 
 def cycles_degree3_equiv(c, d) -> Tuple[bool, bool, Optional[Witness]]:
@@ -93,15 +94,12 @@ def cycles_degree3_equiv(c, d) -> Tuple[bool, bool, Optional[Witness]]:
     the relation is irreflexive and a duplicate signals a caller bug.
     """
     x, y = as_seq(c), as_seq(d)
-    same_n(x, y)
     if x == y:
         raise SameCycle(f"identical cycles {x!r}")
-    shared = cycle_edges(x) & cycle_edges(y)
-    shares_edge = bool(shared)
+    witness = shares_edge(x, y)
     deg = _cycle_union_degrees(x, y)
     has_degree3 = any(v == 3 for v in deg.values())
-    witness = Witness(SHARED_EDGE, min(shared)) if shared else None
-    return shares_edge, has_degree3, witness
+    return witness is not None, has_degree3, witness
 
 
 def _cycle_union_degrees(x, y):
@@ -116,39 +114,46 @@ def verify_witness(a, b, w: Witness) -> bool:
     """Re-verify a witness against the raw definition computed from scratch."""
     x, y = as_seq(a), as_seq(b)
     n = len(x)
-    if w.kind == CROSSING_VERTEX:
+    if w.kind == "crossing":
         return union_degree_profile(x, y).deg[w.payload] == 4
-    if w.kind == TWO_DIFFERENT_ELEMENT:
+    if w.kind == "two-different":
         i, j = positions(x)[w.payload], positions(y)[w.payload]
         return abs(i - j) >= 2 and i != n and j != n
-    if w.kind == VALUE_SEPARATED_POSITION:
+    if w.kind == "value-separated":
         i = w.payload
         return abs(x[i - 1] - y[i - 1]) >= 2
-    if w.kind == TWO_SEPARATED_VERTEX:
+    if w.kind == "two-separated":
         i, j = positions(x)[w.payload], positions(y)[w.payload]
         return (
             i <= n - 2
             and j <= n - 2
             and len({x[i], x[i + 1], y[j], y[j + 1]}) == 4
         )
-    if w.kind == SHARED_EDGE:
+    if w.kind == "shared-edge":
         return w.payload in (cycle_edges(x) & cycle_edges(y))
     raise ValueError(f"unknown witness kind {w.kind!r}")
 
 
-def shared_edge_bool(c, d) -> bool:
-    """Pair relation used when building cycle families: distinct cycles sharing an edge."""
-    x, y = as_seq(c), as_seq(d)
-    if x == y:
-        return False
-    return bool(cycle_edges(x) & cycle_edges(y))
-
-
-#: Name -> boolean pair predicate, as used by the greedy engine and the oracle.
+#: Relation name -> witness finder, which is also the pair predicate.
 RELATIONS = {
-    "crossing": lambda a, b: is_crossing(a, b) is not None,
-    "two-different": lambda a, b: is_two_different(a, b) is not None,
-    "value-separated": lambda a, b: is_value_separated(a, b) is not None,
-    "two-separated": lambda a, b: is_two_separated(a, b) is not None,
-    "shared-edge": shared_edge_bool,
+    "crossing": is_crossing,
+    "two-different": is_two_different,
+    "value-separated": is_value_separated,
+    "two-separated": is_two_separated,
+    "shared-edge": shares_edge,
 }
+
+
+def require(name: str, kind: Optional[str] = None):
+    """The named relation's finder; with a member kind, also check that the
+    relation applies to it: shared-edge applies to cycles only, and cycles
+    take only shared-edge."""
+    try:
+        finder = RELATIONS[name]
+    except KeyError:
+        raise UnknownRelation(
+            f"unknown relation {name!r}; expected one of {', '.join(RELATIONS)}"
+        ) from None
+    if kind is not None and (name == "shared-edge") != (kind == "cycles"):
+        raise DomainError(f"relation {name} does not apply to kind={kind}")
+    return finder

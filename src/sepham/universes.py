@@ -77,7 +77,7 @@ def universe_size(name: str, n: int) -> int:
         return factorial(m) * factorial(m)
     if name == "cycles":
         return factorial(n - 1) // 2 if n >= 4 else 1
-    raise UnknownUniverse(name)
+    raise _unknown_universe(name)
 
 
 #: Universe name -> (enumerator, member kind).
@@ -93,4 +93,10 @@ def get_universe(name: str):
     try:
         return UNIVERSES[name]
     except KeyError:
-        raise UnknownUniverse(name) from None
+        raise _unknown_universe(name) from None
+
+
+def _unknown_universe(name: str) -> UnknownUniverse:
+    return UnknownUniverse(
+        f"unknown universe {name!r}; expected one of {', '.join(UNIVERSES)}"
+    )

@@ -175,6 +175,32 @@ class TestUsageErrors:
         assert "does not apply to kind=paths" in err
 
 
+    def test_reversed_n_range(self, capsys):
+        assert run(["report", "--n-range", "5:3"]) == 1
+        assert "--n-range" in capsys.readouterr().err
+
+    def test_unknown_universe(self, capsys):
+        assert run(["construct", "--which", "greedy", "--universe", "nope",
+                    "--relation", "crossing", "--n", "4"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown universe 'nope'" in err
+        assert "permutations, paths, bipartite-paths, cycles" in err
+
+    def test_unknown_relation(self, capsys):
+        assert run(["construct", "--which", "greedy", "--universe", "paths",
+                    "--relation", "nope", "--n", "4"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown relation 'nope'" in err
+        assert "crossing, two-different, value-separated, two-separated, shared-edge" in err
+
+    def test_greedy_relation_of_another_kind(self, tmp_path, capsys):
+        out = tmp_path / "fam.txt"
+        assert run(["construct", "--which", "greedy", "--universe", "paths",
+                    "--relation", "shared-edge", "--n", "5", "--out", str(out)]) == 1
+        assert "does not apply to kind=paths" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAnalyzeOracleBounds:
     def test_analyze(self, capsys):
         assert run(["analyze", "--perm", "2 6 4 1 3 5"]) == 0

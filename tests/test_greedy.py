@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from sepham.errors import CapExceeded, UnknownRelation, UnknownUniverse
+from sepham import greedy
+from sepham.errors import CapExceeded, DomainError, UnknownRelation, UnknownUniverse
 from sepham.greedy import GreedyConfig, greedy_family
 from sepham.oracle import oracle_quantity
 from sepham.relations import RELATIONS
@@ -86,6 +87,28 @@ def test_unknown_names():
         greedy_family(GreedyConfig(universe="permutations", relation="nope", n=4))
     with pytest.raises(UnknownUniverse):
         greedy_family(GreedyConfig(universe="nope", relation="crossing", n=4))
+
+
+def test_relation_of_another_kind():
+    for universe, relation in [("cycles", "crossing"), ("paths", "shared-edge")]:
+        with pytest.raises(DomainError, match="does not apply to kind="):
+            greedy_family(GreedyConfig(universe=universe, relation=relation, n=5))
+
+
+def test_predicate_is_read_from_the_module_table_at_call_time(monkeypatch):
+    # a benchmark counts relation calls by replacing greedy.RELATIONS
+    calls = []
+
+    def counted(fn):
+        def wrapper(a, b):
+            calls.append(1)
+            return fn(a, b)
+
+        return wrapper
+
+    monkeypatch.setattr(greedy, "RELATIONS", {k: counted(f) for k, f in RELATIONS.items()})
+    fam = greedy_family(GreedyConfig(universe="permutations", relation="two-separated", n=5))
+    assert len(fam) == 4 and len(calls) > 0
 
 
 def test_universe_cap():

@@ -4,22 +4,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sepham.core import Permutation, inverse, positions, union_degree_profile
-from sepham.errors import SameCycle, SizeMismatch
+from sepham.core import (
+    KINDS,
+    Permutation,
+    cycle_edges,
+    inverse,
+    positions,
+    union_degree_profile,
+)
+from sepham.errors import DomainError, SameCycle, SizeMismatch, UnknownRelation
 from sepham.relations import (
+    RELATIONS,
     cycles_degree3_equiv,
     is_crossing,
     is_two_different,
     is_two_separated,
     is_value_separated,
+    require,
+    shares_edge,
     verify_witness,
 )
 from sepham.structure import property_uno_holds
-from sepham.universes import hamilton_cycles
+from sepham.universes import get_universe, hamilton_cycles, hamilton_paths
 
 perm6 = st.permutations(list(range(1, 7)))
-
-ALL_PREDICATES = [is_crossing, is_two_different, is_value_separated, is_two_separated]
 
 
 class TestCrossing:
@@ -97,32 +105,119 @@ class TestTwoSeparated:
                 assert holds == (is_two_separated(ident, p) is None)
 
 
+#: Relation name -> the universe its pairs are drawn from, of a kind it
+#: applies to, and the n checked exhaustively.
+DOMAINS = {
+    "crossing": ("permutations", (5,)),
+    "two-different": ("permutations", (5,)),
+    "value-separated": ("permutations", (5,)),
+    "two-separated": ("permutations", (5,)),
+    "shared-edge": ("cycles", (5, 6)),
+}
+
+
+def domain_members(name):
+    universe, ns = DOMAINS[name]
+    enum, _ = get_universe(universe)
+    return [list(enum(n)) for n in ns]
+
+
 class TestSymmetryAndSoundness:
+    def test_every_relation_has_a_domain_it_applies_to(self):
+        assert sorted(DOMAINS) == sorted(RELATIONS)
+        for name, (universe, _) in DOMAINS.items():
+            require(name, get_universe(universe)[1])
+
     def test_symmetry_exhaustive_n5(self):
-        perms = list(itertools.permutations(range(1, 6)))
-        for a, b in itertools.combinations(perms, 2):
-            for pred in ALL_PREDICATES:
-                assert (pred(a, b) is None) == (pred(b, a) is None)
+        for name, rel in RELATIONS.items():
+            for members in domain_members(name):
+                for a, b in itertools.combinations(members, 2):
+                    assert bool(rel(a, b)) == bool(rel(b, a)), (name, a, b)
 
     @given(perm6, perm6)
     def test_symmetry_sampled_n6(self, a, b):
-        for pred in ALL_PREDICATES:
-            assert (pred(tuple(a), tuple(b)) is None) == (
-                pred(tuple(b), tuple(a)) is None
-            )
+        a, b = tuple(a), tuple(b)
+        for name, rel in RELATIONS.items():
+            assert bool(rel(a, b)) == bool(rel(b, a)), name
+
+    def test_witnesses_reverify(self):
+        for name, rel in RELATIONS.items():
+            for members in domain_members(name):
+                for a, b in itertools.combinations(members, 2):
+                    w = rel(a, b)
+                    if w is not None:
+                        assert w.kind == name
+                        assert verify_witness(a, b, w), (name, a, b)
 
     @given(perm6, perm6)
-    def test_witnesses_reverify(self, a, b):
+    def test_witnesses_reverify_sampled_n6(self, a, b):
         a, b = tuple(a), tuple(b)
-        for pred in ALL_PREDICATES:
-            w = pred(a, b)
+        for name, rel in RELATIONS.items():
+            w = rel(a, b)
             if w is not None:
-                assert verify_witness(a, b, w)
+                assert w.kind == name and verify_witness(a, b, w), name
 
     def test_anti_reflexive(self):
-        p = (4, 2, 6, 1, 5, 3)
-        for pred in ALL_PREDICATES:
-            assert pred(p, p) is None
+        for name, rel in RELATIONS.items():
+            for members in domain_members(name):
+                for p in members:
+                    assert rel(p, p) is None, (name, p)
+
+
+def smallest_degree_four_vertex(a, b):
+    deg = union_degree_profile(a, b).deg
+    return min((v for v in deg if deg[v] == 4), default=None)
+
+
+def smallest_shared_edge(c, d):
+    if c == d:  # a cycle is not related to itself
+        return None
+    return min(cycle_edges(c) & cycle_edges(d), default=None)
+
+
+def payload(w):
+    return None if w is None else w.payload
+
+
+pair_7_to_9 = st.integers(7, 9).flatmap(
+    lambda n: st.tuples(*[st.permutations(range(1, n + 1))] * 2)
+)
+
+
+class TestFindersMatchDefinitions:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_crossing_exhaustive(self, n):
+        for a, b in itertools.combinations(hamilton_paths(n), 2):
+            assert payload(is_crossing(a, b)) == smallest_degree_four_vertex(a, b)
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_shares_edge_exhaustive(self, n):
+        for c, d in itertools.combinations(hamilton_cycles(n), 2):
+            assert payload(shares_edge(c, d)) == smallest_shared_edge(c, d)
+
+    @given(pair_7_to_9)
+    def test_sampled_7_to_9(self, pair):
+        a, b = map(tuple, pair)
+        assert payload(is_crossing(a, b)) == smallest_degree_four_vertex(a, b)
+        assert payload(shares_edge(a, b)) == smallest_shared_edge(a, b)
+
+
+class TestRequire:
+    def test_unknown_relation_names_the_allowed_ones(self):
+        with pytest.raises(UnknownRelation) as exc:
+            require("nope")
+        assert "'nope'" in str(exc.value)
+        assert ", ".join(RELATIONS) in str(exc.value)
+
+    def test_kind_rule(self):
+        # shared-edge applies to cycles only, and cycles take only shared-edge
+        for name in RELATIONS:
+            for kind in KINDS:
+                if (name == "shared-edge") == (kind == "cycles"):
+                    assert require(name, kind) is RELATIONS[name]
+                else:
+                    with pytest.raises(DomainError, match=f"does not apply to kind={kind}"):
+                        require(name, kind)
 
 
 class TestCyclesDegree3:
