@@ -127,8 +127,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with open(args.family) as f:
-        fam = parse_family(f.read())
+    try:
+        with open(args.family, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"not a sepham family file ({exc.reason})") from None
+    fam = parse_family(text)
     rel = relations.require(args.relation, fam.kind)
     seqs = fam.seqs()
     pairs = 0
@@ -176,9 +180,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_oracle(args) -> int:
     res = oracle.oracle_quantity(args.quantity, args.n, time_limit=args.time_limit)
-    label = "exact" if res.status == oracle.STATUS_EXACT else "lower bound, timeout"
-    print(f"{args.quantity}({args.n}) = {res.value} ({label})")
+    if res.status == oracle.STATUS_EXACT:
+        print(f"{args.quantity}({args.n}) = {res.value} (exact)")
+    else:
+        print(f"{args.quantity}({args.n}) in {_interval(res)} (timeout; best found, certified upper)")
     return 0
+
+
+def _interval(res) -> str:
+    return f"[{res.value}, {res.upper}]"
 
 
 def _frac(x) -> str:
@@ -262,6 +272,7 @@ def _cmd_report(args) -> int:
     if lo > hi:
         raise UsageError(f"--n-range A:B needs A <= B, got {args.n_range!r}")
     out = []
+    timed_out = False
     for quantity, title, construction in _REPORT_TABLES:
         universe, relation, max_n = oracle._QUANTITY_SPECS[quantity]
         columns = ["n", "greedy", "exact", "lower bound", "upper bound"]
@@ -277,11 +288,17 @@ def _cmd_report(args) -> int:
                 cfg = greedy.GreedyConfig(universe=universe, relation=relation, n=n)
                 g = str(len(greedy.greedy_family(cfg)))
                 res = oracle.oracle_quantity(quantity, n, time_limit=args.time_limit)
-                exact = str(res.value) + ("" if res.status == oracle.STATUS_EXACT else "*")
+                if res.status == oracle.STATUS_EXACT:
+                    exact = str(res.value)
+                else:
+                    exact, timed_out = _interval(res), True
             row += [g, exact, *(_frac(b) for b in oracle.sandwich(quantity, n))]
             out.append("| " + " | ".join(row) + " |")
         out.append("")
-    out.append("`*` = best found within the time limit, not proven optimal.")
+    if timed_out:
+        out.append("`[best, upper]` = best found within the time limit and the certified upper bound.")
+    else:
+        out.append("`*` = best found within the time limit, not proven optimal.")
     _write_out("\n".join(out) + "\n", args.out)
     return 0
 

@@ -47,57 +47,61 @@ def same_n(a: Seq, b: Seq) -> int:
     return len(a)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A linear order of [n]; doubles as a consecutively oriented Hamilton path."""
+def path_canon(seq: Seq) -> Seq:
+    """A path read in either direction is one path: smaller endpoint first."""
+    return seq[::-1] if seq[0] > seq[-1] else seq
+
+
+def cycle_canon(seq: Seq) -> Seq:
+    """A cycle up to rotation and reflection: start at 1, seq[2] < seq[n]."""
+    i = seq.index(1)
+    seq = seq[i:] + seq[:i]
+    return (1,) + seq[:0:-1] if seq[1] > seq[-1] else seq
+
+
+def _identity(seq: Seq) -> Seq:
+    return seq
+
+
+@dataclass(frozen=True, slots=True)
+class _Member:
+    """A vertex sequence over [n], stored in its kind's canonical form.
+
+    ``canon`` maps any valid sequence of the kind to that form without
+    validating it, so hot loops can call it directly.
+    """
 
     seq: Seq
     MIN_N: ClassVar[int] = 1
+    canon: ClassVar = staticmethod(_identity)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seq", check_perm_seq(self.seq, self.MIN_N))
+        object.__setattr__(self, "seq", self.canon(check_perm_seq(self.seq, self.MIN_N)))
 
     @property
     def n(self) -> int:
         return len(self.seq)
 
 
-@dataclass(frozen=True)
-class HamiltonPath:
+@dataclass(frozen=True, slots=True)
+class Permutation(_Member):
+    """A linear order of [n]; doubles as a consecutively oriented Hamilton path."""
+
+
+@dataclass(frozen=True, slots=True)
+class HamiltonPath(_Member):
     """An undirected Hamilton path of K_n, stored with its smaller endpoint first."""
 
-    seq: Seq
     MIN_N: ClassVar[int] = 2
-
-    def __post_init__(self) -> None:
-        seq = check_perm_seq(self.seq, self.MIN_N)
-        if seq[0] > seq[-1]:
-            seq = seq[::-1]
-        object.__setattr__(self, "seq", seq)
-
-    @property
-    def n(self) -> int:
-        return len(self.seq)
+    canon: ClassVar = staticmethod(path_canon)
 
 
-@dataclass(frozen=True)
-class HamiltonCycle:
+@dataclass(frozen=True, slots=True)
+class HamiltonCycle(_Member):
     """A Hamilton cycle of K_n, rotated to start at 1 and oriented so seq[2] < seq[n]."""
 
-    seq: Seq
     MIN_N: ClassVar[int] = 3
-
-    def __post_init__(self) -> None:
-        seq = check_perm_seq(self.seq, self.MIN_N)
-        i = seq.index(1)
-        seq = seq[i:] + seq[:i]
-        if seq[1] > seq[-1]:
-            seq = (seq[0],) + seq[1:][::-1]
-        object.__setattr__(self, "seq", seq)
-
-    @property
-    def n(self) -> int:
-        return len(self.seq)
+    canon: ClassVar = staticmethod(cycle_canon)
 
 
 #: Member kind -> canonical class; a family's kind names one of these.
@@ -116,7 +120,7 @@ def kind_class(kind: str) -> type:
         raise UnknownKind(f"unknown kind {kind!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Family:
     """An ordered, duplicate-free family of canonical objects over [n]."""
 

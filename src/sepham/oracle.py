@@ -3,19 +3,22 @@
 A maximum pairwise-related family is exactly a maximum clique of the
 compatibility graph.  Adjacency is stored as packed bit rows (Python ints);
 the search is Tomita-style with greedy-coloring upper bounds, seeded with a
-greedy clique, and degrades to a best-found lower bound on timeout.
+greedy clique, stops once it reaches a known upper bound, and degrades to a
+best-found lower bound on timeout.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
-from .core import Family, as_seq, sorted_family
+from .core import Family, Seq, as_seq, kind_class, sorted_family
 from .errors import CapExceeded, DomainError, SephamError
-from .relations import RELATIONS, require
+from .relations import RELATIONS, require, verify_unrelated, verify_witness
 from .universes import get_universe, universe_size
 
 DEFAULT_VERTEX_CAP = 10_000
@@ -39,31 +42,81 @@ class CompatibilityGraph:
         return bin(self.adj[i]).count("1")
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleResult:
+    """The value with its witness clique, and a clique-coclique certificate:
+    ``upper`` = |universe| // |coclique| bounds the value from above."""
+
     quantity: str
     n: int
     value: int
     witness: Family
     status: str
+    upper: int
+    #: The coclique's sorted member sequences, n bytes a member.  Packed
+    #: because it is several times the witness (72 members at B(8)), and
+    #: a caller may keep many results.
+    packed_coclique: bytes
+
+    @property
+    def coclique(self) -> List[Seq]:
+        """The coclique's member sequences, sorted; the first member is one."""
+        c, n = self.packed_coclique, self.n
+        return [tuple(c[i:i + n]) for i in range(0, len(c), n)]
+
+
+class OrbitLookup(NamedTuple):
+    """What the orbit build needs: a universe member, the set of members
+    related to it, and the member kind (for its canonical form)."""
+
+    first: Seq
+    related: FrozenSet[Seq]
+    kind: str
 
 
 def build_compatibility_graph(
-    objects: Sequence, relation: str, cap: int = DEFAULT_VERTEX_CAP
+    objects: Sequence,
+    relation: str,
+    cap: int = DEFAULT_VERTEX_CAP,
+    orbit: Optional[OrbitLookup] = None,
 ) -> CompatibilityGraph:
-    """Full pairwise evaluation of the named relation over the given objects."""
+    """The named relation's adjacency over the given objects.
+
+    Without *orbit* the relation is evaluated on every pair.  With it, each
+    pair (a, b) is looked up instead: g, the position-wise relabelling that
+    takes a to ``orbit.first``, preserves the relation, so a and b are
+    related iff the canonical form of g(b) is in ``orbit.related``.  That is
+    sound only when relabelling [n] by any such g preserves the relation and
+    the universe, as it does for every quantity of the oracle.
+    """
     rel = require(relation)
     seqs = [as_seq(o) for o in objects]
     if len(seqs) > cap:
         raise CapExceeded(f"{len(seqs)} vertices exceed cap {cap}")
-    n = len(seqs)
-    adj = [0] * n
-    for i in range(n):
-        si = seqs[i]
-        for j in range(i + 1, n):
-            if rel(si, seqs[j]):
-                adj[i] |= 1 << j
+    nv = len(seqs)
+    adj = [0] * nv
+    if orbit is None:
+        for i in range(nv):
+            si = seqs[i]
+            for j in range(i + 1, nv):
+                if rel(si, seqs[j]):
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        return CompatibilityGraph(objects=seqs, adj=adj)
+    canon = kind_class(orbit.kind).canon
+    related = orbit.related
+    # picks[j](g) is g applied to seqs[j] position-wise, g indexed by value
+    picks = [itemgetter(*s) for s in seqs]
+    g = [0] * (len(orbit.first) + 1)
+    for i in range(nv):
+        for v, w in zip(seqs[i], orbit.first):
+            g[v] = w
+        row = 0
+        for j in range(i + 1, nv):
+            if canon(picks[j](g)) in related:
+                row |= 1 << j
                 adj[j] |= 1 << i
+        adj[i] |= row
     return CompatibilityGraph(objects=seqs, adj=adj)
 
 
@@ -81,12 +134,14 @@ def greedy_clique(adj: List[int], order: Optional[Sequence[int]] = None) -> List
 def max_clique_exact(
     g: CompatibilityGraph,
     time_limit: Optional[float] = None,
+    upper: Optional[int] = None,
 ) -> Tuple[int, List[int], str]:
     """Maximum clique size with an attaining witness.
 
-    Returns (value, vertex indices, status).  On timeout the best clique
-    found so far is returned with status "lower_bound_timeout"; the exact
-    status certifies true optimality.
+    Returns (value, vertex indices, status).  With *upper*, a proven upper
+    bound on the clique number, the search stops as soon as the incumbent
+    reaches it.  On timeout the best clique found so far is returned with
+    status "lower_bound_timeout"; the exact status certifies true optimality.
     """
     adj = g.adj
     nv = len(adj)
@@ -100,7 +155,10 @@ def max_clique_exact(
     if len(lex_seed) > len(seed):
         seed = lex_seed
     best = sorted(seed)
-    state = {"best": best, "timed_out": False}
+    target = nv if upper is None else upper
+    if len(best) >= target:
+        return len(best), best, STATUS_EXACT
+    state = {"best": best, "halted": False, "timed_out": False}
 
     def color_sort(cand_mask: int) -> List[Tuple[int, int]]:
         # sequential greedy coloring; returns (vertex, color) in color order
@@ -119,10 +177,10 @@ def max_clique_exact(
         return out
 
     def expand(cur: List[int], cand_mask: int) -> None:
-        if state["timed_out"]:
+        if state["halted"]:
             return
         if deadline is not None and time.monotonic() > deadline:
-            state["timed_out"] = True
+            state["halted"] = state["timed_out"] = True
             return
         colored = color_sort(cand_mask)
         for i in range(len(colored) - 1, -1, -1):
@@ -135,12 +193,22 @@ def max_clique_exact(
                 expand(cur, nxt)
             elif len(cur) > len(state["best"]):
                 state["best"] = sorted(cur)
+                state["halted"] = len(cur) >= target
             cur.pop()
+            if state["halted"]:
+                return
             cand_mask &= ~(1 << v)
 
     expand([], (1 << nv) - 1)
     status = STATUS_TIMEOUT if state["timed_out"] else STATUS_EXACT
     return len(state["best"]), state["best"], status
+
+
+def complement(g: CompatibilityGraph) -> CompatibilityGraph:
+    """The loop-free complement: its cliques are the cocliques of g."""
+    full = (1 << g.num_vertices) - 1
+    adj = [full & ~row & ~(1 << i) for i, row in enumerate(g.adj)]
+    return CompatibilityGraph(objects=g.objects, adj=adj)
 
 
 _QUANTITY_SPECS = {
@@ -169,12 +237,20 @@ def sandwich(quantity: str, n: int) -> Tuple:
 def oracle_quantity(
     quantity: str, n: int, time_limit: Optional[float] = None
 ) -> OracleResult:
-    """Exact value of Q(n), B(n), R(n) or Mcy(n) with an attaining witness.
+    """Exact value of Q(n), B(n), R(n) or Mcy(n) with an attaining witness
+    and a clique-coclique certificate.
 
     Every quantity's compatibility graph is vertex-transitive: relabelling
     [n] (for B, each side of the bipartition separately) moves any member
-    to any other and preserves the relation.  So some maximum clique
-    contains the first member, and only its neighbourhood is searched.
+    to any other and preserves the relation.  So some maximum clique and
+    some maximum coclique contain the first member: the clique is searched
+    in its neighbourhood and the coclique in its non-neighbourhood, both
+    graphs built by orbit lookup.  In a vertex-transitive graph
+    |clique| * |coclique| <= |V|, so |V| // |coclique| is an upper bound, and
+    the clique search stops when it reaches it.  One *time_limit* covers both
+    searches, the coclique search first; a coclique cut short by the limit
+    still gives a valid bound.  Both sides are re-checked by raw definition
+    before returning.
     """
     try:
         universe, relation, max_n = _QUANTITY_SPECS[quantity]
@@ -193,16 +269,47 @@ def oracle_quantity(
     enum, kind = get_universe(universe)
     first, *rest = enum(n)
     related = RELATIONS[relation]
-    g = build_compatibility_graph([o for o in rest if related(first, o)], relation)
-    rest_size, idx, status = max_clique_exact(g, time_limit=time_limit)
-    value = 1 + rest_size
-    witness = sorted_family(
-        kind, n, [first] + [g.objects[i] for i in idx],
-        {"construction": "oracle", "quantity": quantity, "status": status},
-    )
+    near, far = [], []
+    for o in rest:
+        (near if related(first, o) else far).append(o)
+    orbit = OrbitLookup(first, frozenset(near), kind)
+    co = complement(build_compatibility_graph(far, relation, orbit=orbit))
+    g = build_compatibility_graph(near, relation, orbit=orbit)
+
+    deadline = time.monotonic() + time_limit if time_limit is not None else None
+    _, co_idx, _ = max_clique_exact(co, time_limit=time_limit)
+    coclique = [first] + [co.objects[i] for i in co_idx]
+    upper = size // len(coclique)
+    remaining = deadline - time.monotonic() if deadline is not None else None
+    _, idx, status = max_clique_exact(g, time_limit=remaining, upper=upper - 1)
+    clique = [first] + [g.objects[i] for i in idx]
+    check_certificate(relation, size, clique, coclique)
     if status == STATUS_EXACT:
-        _sandwich_check(quantity, n, value)
-    return OracleResult(quantity=quantity, n=n, value=value, witness=witness, status=status)
+        _sandwich_check(quantity, n, len(clique))
+    witness = sorted_family(
+        kind, n, clique, {"construction": "oracle", "quantity": quantity, "status": status}
+    )
+    return OracleResult(
+        quantity=quantity, n=n, value=len(clique), witness=witness, status=status,
+        upper=upper, packed_coclique=b"".join(map(bytes, sorted(coclique))),
+    )
+
+
+def check_certificate(relation: str, size: int, clique: List[Seq], coclique: List[Seq]) -> None:
+    """Re-check a clique-coclique certificate over a universe of *size*
+    members by raw definition; raise SephamError if any part fails."""
+    rel = RELATIONS[relation]
+    for a, b in itertools.combinations(clique, 2):
+        w = rel(a, b)
+        if w is None or not verify_witness(a, b, w):
+            raise SephamError(f"clique pair {a} {b} is not {relation}")
+    for a, b in itertools.combinations(coclique, 2):
+        if not verify_unrelated(a, b, relation):
+            raise SephamError(f"coclique pair {a} {b} is {relation}")
+    if len(clique) * len(coclique) > size:
+        raise SephamError(
+            f"clique {len(clique)} x coclique {len(coclique)} exceeds {size} members"
+        )
 
 
 def _sandwich_check(quantity: str, n: int, value: int) -> None:

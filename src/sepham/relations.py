@@ -134,6 +134,20 @@ def verify_witness(a, b, w: Witness) -> bool:
     raise ValueError(f"unknown witness kind {w.kind!r}")
 
 
+def verify_unrelated(a, b, relation: str) -> bool:
+    """Check from the raw definition that the pair has no witness: union
+    max degree <= 3 for crossing, edge-disjoint cycles for shared-edge, and
+    for the permutation relations no element or position re-verifies."""
+    x, y = as_seq(a), as_seq(b)
+    if relation == "crossing":
+        return union_degree_profile(x, y).max_degree() <= 3
+    if relation == "shared-edge":
+        return not cycle_edges(x) & cycle_edges(y)
+    return not any(
+        verify_witness(x, y, Witness(relation, e)) for e in range(1, len(x) + 1)
+    )
+
+
 #: Relation name -> witness finder, which is also the pair predicate.
 RELATIONS = {
     "crossing": is_crossing,
@@ -143,17 +157,27 @@ RELATIONS = {
     "shared-edge": shares_edge,
 }
 
+#: Relation name -> the member kinds it applies to.  A path's stored
+#: orientation is only a canonical choice, so paths take crossing alone,
+#: the one path relation that does not depend on it.
+APPLIES_TO = {
+    "crossing": ("permutations", "paths"),
+    "two-different": ("permutations",),
+    "value-separated": ("permutations",),
+    "two-separated": ("permutations",),
+    "shared-edge": ("cycles",),
+}
+
 
 def require(name: str, kind: Optional[str] = None):
     """The named relation's finder; with a member kind, also check that the
-    relation applies to it: shared-edge applies to cycles only, and cycles
-    take only shared-edge."""
+    relation applies to it (see APPLIES_TO)."""
     try:
         finder = RELATIONS[name]
     except KeyError:
         raise UnknownRelation(
             f"unknown relation {name!r}; expected one of {', '.join(RELATIONS)}"
         ) from None
-    if kind is not None and (name == "shared-edge") != (kind == "cycles"):
+    if kind is not None and kind not in APPLIES_TO[name]:
         raise DomainError(f"relation {name} does not apply to kind={kind}")
     return finder

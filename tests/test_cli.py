@@ -1,7 +1,12 @@
 import hashlib
 import itertools
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepham.cli import UsageError, parse_family, run, serialize_family
 from sepham.constructions import kernel_cycle_family
@@ -200,6 +205,54 @@ class TestUsageErrors:
         assert "does not apply to kind=paths" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_greedy_paths_take_crossing_only(self, tmp_path, capsys):
+        out = tmp_path / "fam.txt"
+        assert run(["construct", "--which", "greedy", "--universe", "paths",
+                    "--relation", "two-separated", "--n", "5", "--out", str(out)]) == 1
+        assert "does not apply to kind=paths" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_orientation_dependent_relation_on_paths(self, tmp_path, capsys):
+        paths = tmp_path / "paths.txt"
+        assert run(["construct", "--which", "greedy", "--universe", "paths",
+                    "--relation", "crossing", "--n", "6", "--out", str(paths)]) == 0
+        for relation in ("two-different", "value-separated", "two-separated"):
+            assert run(["verify", "--relation", relation, "--family", str(paths)]) == 1
+        assert capsys.readouterr().err.count("does not apply to kind=paths") == 3
+
+
+_member_line = st.lists(st.integers(-1, 7), max_size=8).map(lambda vs: " ".join(map(str, vs)))
+_family_like = st.builds(
+    lambda kind, n, members: "# sepham family v1\n# kind={} n={} seed=none\n{}\n".format(
+        kind, n, "\n".join(members)),
+    st.sampled_from(["paths", "cycles", "permutations", "blob", ""]),
+    st.integers(-2, 8),
+    st.lists(_member_line, max_size=5),
+)
+
+
+class TestVerifyFuzz:
+    """Whatever the family file holds, verify exits 0, 1 or 2 and never raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.text(), st.text().map(lambda t: "# sepham family v1\n" + t), _family_like),
+        st.sampled_from(["crossing", "two-separated", "shared-edge"]),
+    )
+    def test_arbitrary_text(self, text, relation):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "fam.txt"
+            path.write_text(text, encoding="utf-8")
+            assert run(["verify", "--relation", relation, "--family", str(path)]) in (0, 1, 2)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.binary())
+    def test_arbitrary_bytes(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "fam.txt"
+            path.write_bytes(data)
+            assert run(["verify", "--relation", "crossing", "--family", str(path)]) in (0, 1, 2)
+
 
 class TestAnalyzeOracleBounds:
     def test_analyze(self, capsys):
@@ -211,6 +264,20 @@ class TestAnalyzeOracleBounds:
     def test_oracle_output(self, capsys):
         assert run(["oracle", "--quantity", "Mcy", "--n", "5"]) == 0
         assert "Mcy(5) = 6 (exact)" in capsys.readouterr().out
+
+    def test_oracle_timeout_prints_the_certified_interval(self, capsys):
+        assert run(["oracle", "--quantity", "R", "--n", "6", "--time-limit", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("R(6) in [") and ", 15] (timeout" in out
+
+    def test_report_timeout_prints_the_certified_interval(self, tmp_path):
+        out = tmp_path / "report.md"
+        assert run(["report", "--n-range", "6:6", "--oracle-max-n", "6",
+                    "--time-limit", "0.5", "--out", str(out)]) == 0
+        text = read(out)
+        assert re.search(r"\| 6 \| 6 \| \[\d+, 15\] \| 3125/90699264 \| 90 \|", text)
+        assert text.endswith("`[best, upper]` = best found within the time limit "
+                             "and the certified upper bound.\n")
 
     def test_bounds_csv(self, capsys):
         assert run(["bounds", "--n", "6", "--format", "csv"]) == 0

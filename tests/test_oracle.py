@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 
 import pytest
 
@@ -11,19 +12,28 @@ from sepham.oracle import (
     STATUS_EXACT,
     STATUS_TIMEOUT,
     CompatibilityGraph,
+    OrbitLookup,
     build_compatibility_graph,
+    check_certificate,
     max_clique_exact,
     oracle_quantity,
 )
 from sepham.relations import RELATIONS, verify_witness
-from sepham.universes import get_universe, hamilton_cycles, hamilton_paths
+from sepham.universes import get_universe, hamilton_cycles, hamilton_paths, universe_size
+
+
+@functools.lru_cache(maxsize=None)
+def full_graph(quantity, n):
+    """The quantity's compatibility graph on the whole universe, every pair evaluated."""
+    universe, relation, _ = _QUANTITY_SPECS[quantity]
+    enum, _ = get_universe(universe)
+    return build_compatibility_graph(list(enum(n)), relation)
+
 
 @functools.lru_cache(maxsize=None)
 def full_graph_search(quantity, n):
-    """The quantity's compatibility graph on the whole universe and its exact search."""
-    universe, relation, _ = _QUANTITY_SPECS[quantity]
-    enum, _ = get_universe(universe)
-    g = build_compatibility_graph(list(enum(n)), relation)
+    """The full graph and its exact search."""
+    g = full_graph(quantity, n)
     return g, max_clique_exact(g)
 
 
@@ -173,11 +183,14 @@ def test_max_clique_exact_matches_subset_enumeration():
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         g = CompatibilityGraph(objects=[(v,) for v in range(nv)], adj=adj)
-        value, witness, status = max_clique_exact(g)
-        assert status == STATUS_EXACT
-        assert value == len(witness) == _brute_force_clique_number(adj), f"seed {seed}"
-        for i, j in itertools.combinations(witness, 2):
-            assert adj[i] >> j & 1
+        clique_number = _brute_force_clique_number(adj)
+        # a proven upper bound may stop the search early, never change its value
+        for upper in (None, clique_number):
+            value, witness, status = max_clique_exact(g, upper=upper)
+            assert status == STATUS_EXACT
+            assert value == len(witness) == clique_number, f"seed {seed}"
+            for i, j in itertools.combinations(witness, 2):
+                assert adj[i] >> j & 1
 
 
 #: Known values of the largest cases.
@@ -262,3 +275,95 @@ def test_compatibility_graph_is_vertex_transitive(quantity):
             for image in images:
                 assert bool(related(image[a], image[b])) == bool(related(a, b)), (
                     quantity, n, a, b)
+
+
+def orbit_graph(quantity, n):
+    """The quantity's graph on the whole universe, built by orbit lookup."""
+    universe, relation, _ = _QUANTITY_SPECS[quantity]
+    enum, kind = get_universe(universe)
+    objects = list(enum(n))
+    first = objects[0]
+    related = frozenset(o for o in objects if RELATIONS[relation](first, o))
+    return build_compatibility_graph(objects, relation, orbit=OrbitLookup(first, related, kind))
+
+
+@pytest.mark.parametrize(
+    "quantity,n",
+    [(q, n) for q in ("Q", "R", "Mcy") for n in range(3, 7)] + [("B", n) for n in range(3, 8)],
+)
+def test_orbit_build_equals_the_finder_on_all_pairs(quantity, n):
+    g = orbit_graph(quantity, n)
+    assert g.objects == full_graph(quantity, n).objects
+    assert g.adj == full_graph(quantity, n).adj
+
+
+@pytest.mark.parametrize("quantity,n", [("B", 8), ("Mcy", 7)])
+def test_orbit_build_equals_the_finder_on_sampled_pairs(quantity, n):
+    g = orbit_graph(quantity, n)
+    related = RELATIONS[_QUANTITY_SPECS[quantity][1]]
+    rng = random.Random(n)
+    for _ in range(SAMPLED_PAIRS):
+        i, j = rng.sample(range(g.num_vertices), 2)
+        assert bool(g.adj[i] >> j & 1) == bool(related(g.objects[i], g.objects[j]))
+
+
+#: (quantity, n, time limit) -> (known value, certified bound if it is tight).
+CERTIFIED = {
+    ("Q", 6, None): (7, 7),
+    ("B", 8, None): (8, 8),
+    ("R", 5, None): (4, 4),
+    ("R", 6, 0.5): (10, None),
+    ("Mcy", 6, None): (24, None),
+    ("Mcy", 7, None): (120, 120),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def certified(quantity, n, time_limit):
+    return oracle_quantity(quantity, n, time_limit=time_limit)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("case", sorted(CERTIFIED, key=str))
+    def test_bound(self, case):
+        res = certified(*case)
+        known, tight = CERTIFIED[case]
+        assert res.upper >= known
+        if tight is not None:
+            assert res.upper == res.value == tight
+        quantity, n, _ = case
+        assert res.upper == universe_size(_QUANTITY_SPECS[quantity][0], n) // len(res.coclique)
+
+    @pytest.mark.parametrize("case", [("Q", 6, None), ("R", 5, None), ("Mcy", 6, None)])
+    def test_planted_related_pair_is_rejected(self, case):
+        res = certified(*case)
+        universe, relation, _ = _QUANTITY_SPECS[case[0]]
+        size = universe_size(universe, case[1])
+        clique, coclique = res.witness.seqs(), res.coclique
+        check_certificate(relation, size, clique, coclique)
+        a = coclique[0]
+        planted = next(
+            o for o in get_universe(universe)[0](case[1])
+            if o not in coclique and RELATIONS[relation](a, o)
+        )
+        with pytest.raises(SephamError, match="coclique pair"):
+            check_certificate(relation, size, clique, [a, planted] + coclique[2:])
+        # both start at the first member, which no other coclique member is related to
+        with pytest.raises(SephamError, match="clique pair"):
+            check_certificate(relation, size, clique[:1] + coclique[1:2], coclique)
+        with pytest.raises(SephamError, match="exceeds"):
+            check_certificate(relation, len(clique) * len(coclique) - 1, clique, coclique)
+
+    def test_coclique_is_sorted_members_with_the_first(self):
+        for case in CERTIFIED:
+            members = list(get_universe(_QUANTITY_SPECS[case[0]][0])[0](case[1]))
+            coclique = certified(*case).coclique
+            assert coclique == sorted(set(coclique)) and set(coclique) <= set(members)
+            assert members[0] in coclique
+
+    def test_mcy7_stops_at_the_bound(self):
+        t0 = time.monotonic()
+        res = oracle_quantity("Mcy", 7)
+        elapsed = time.monotonic() - t0
+        assert res.status == STATUS_EXACT and res.value == res.upper == 120
+        assert elapsed < 5.0, f"Mcy(7) took {elapsed:.1f}s"

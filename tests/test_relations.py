@@ -22,6 +22,7 @@ from sepham.relations import (
     is_value_separated,
     require,
     shares_edge,
+    verify_unrelated,
     verify_witness,
 )
 from sepham.structure import property_uno_holds
@@ -157,6 +158,12 @@ class TestSymmetryAndSoundness:
             if w is not None:
                 assert w.kind == name and verify_witness(a, b, w), name
 
+    def test_unrelated_pairs_reverify(self):
+        for name, rel in RELATIONS.items():
+            for members in domain_members(name):
+                for a, b in itertools.combinations(members, 2):
+                    assert verify_unrelated(a, b, name) == (rel(a, b) is None), (name, a, b)
+
     def test_anti_reflexive(self):
         for name, rel in RELATIONS.items():
             for members in domain_members(name):
@@ -210,10 +217,18 @@ class TestRequire:
         assert ", ".join(RELATIONS) in str(exc.value)
 
     def test_kind_rule(self):
-        # shared-edge applies to cycles only, and cycles take only shared-edge
+        # shared-edge applies to cycles only, cycles take only shared-edge,
+        # and paths take only crossing, the one relation that does not
+        # depend on a path's stored orientation
+        applies = {
+            "permutations": {"crossing", "two-different", "value-separated", "two-separated"},
+            "paths": {"crossing"},
+            "cycles": {"shared-edge"},
+        }
+        assert sorted(applies) == sorted(KINDS)
         for name in RELATIONS:
             for kind in KINDS:
-                if (name == "shared-edge") == (kind == "cycles"):
+                if name in applies[kind]:
                     assert require(name, kind) is RELATIONS[name]
                 else:
                     with pytest.raises(DomainError, match=f"does not apply to kind={kind}"):
