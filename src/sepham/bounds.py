@@ -24,9 +24,9 @@ MIN_N = 3
 _SQRT2_DIGITS = 40
 
 
-def sqrt2_interval(digits: int = _SQRT2_DIGITS) -> Interval:
-    """Rational enclosure lo < sqrt(2) < hi with denominator 10^digits."""
-    scale = 10 ** digits
+def sqrt2_interval() -> Interval:
+    """Rational enclosure lo < sqrt(2) < hi with denominator 10^_SQRT2_DIGITS."""
+    scale = 10 ** _SQRT2_DIGITS
     s = isqrt(2 * scale * scale)
     return Fraction(s, scale), Fraction(s + 1, scale)
 
@@ -112,8 +112,6 @@ class InequalityEntry:
     n: int
     checks: Dict[str, bool] = field(default_factory=dict)
     details: Dict[str, str] = field(default_factory=dict)
-    #: informational only: the purely asymptotic middle-vs-new comparison
-    info: Dict[str, bool] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -168,9 +166,6 @@ def check_inequalities(n_range) -> InequalityReport:
             )
         e.checks["r_lower_le_upper"] = rec.r_lower <= rec.r_upper
         e.checks["q_new_le_q_upper"] = rec.q_lower_new <= rec.q_upper_kmm
-        # The chain's last step middle <= q_lower_new only kicks in
-        # asymptotically; record it without letting it fail the report.
-        e.info["middle_le_new_asymptotic"] = middle[1] <= rec.q_lower_new
         entries.append(e)
     # 2/(1+sqrt2) < 2^(-1/4)  <=>  (2/(1+sqrt2))^4 < 1/2
     ratio_hi = 2 / (1 + lo)

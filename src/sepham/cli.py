@@ -297,8 +297,6 @@ def _cmd_report(args) -> int:
         out.append("")
     if timed_out:
         out.append("`[best, upper]` = best found within the time limit and the certified upper bound.")
-    else:
-        out.append("`*` = best found within the time limit, not proven optimal.")
     _write_out("\n".join(out) + "\n", args.out)
     return 0
 
@@ -333,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("oracle", help="exact maximum family size by clique search")
-    p.add_argument("--quantity", required=True, choices=["Q", "B", "R", "Mcy"])
+    p.add_argument("--quantity", required=True, choices=list(oracle._QUANTITY_SPECS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(fn=_cmd_oracle)

@@ -21,7 +21,7 @@ from .core import (
     sorted_family,
 )
 from .errors import BadEdge, CapExceeded, DomainError, EvenN, SizeMismatch
-from .oracle import STATUS_EXACT, build_compatibility_graph, max_clique_exact
+from .oracle import build_compatibility_graph, max_clique_exact
 
 DEFAULT_EXACT_CAP = 6
 DEFAULT_FAMILY_CAP = 50_000
@@ -46,18 +46,14 @@ def bipartite_path(n: int, alpha) -> HamiltonPath:
     return HamiltonPath(tuple(out))
 
 
-def two_diff_family(
-    m: int,
-    mode: str = "exact",
-    seed: Optional[int] = None,
-    time_limit: Optional[float] = None,
-) -> Family:
+def two_diff_family(m: int, mode: str = "exact", seed: Optional[int] = None) -> Family:
     """A family of permutations of [m] that is pairwise value-separated.
 
-    mode="exact" runs the clique oracle and returns a maximum family
-    (only up to DEFAULT_EXACT_CAP); mode="greedy" runs the greedy engine,
-    in lexicographic order without a seed and in seed-shuffled order
-    (capped like any shuffled greedy) with one.
+    mode="exact" runs the clique oracle without a time limit and returns a
+    maximum family (only up to DEFAULT_EXACT_CAP, which keeps it under a
+    second); mode="greedy" runs the greedy engine, in lexicographic order
+    without a seed and in seed-shuffled order (capped like any shuffled
+    greedy) with one.
     """
     meta = {"construction": "two-diff", "mode": mode, "seed": seed}
     if mode != "exact":
@@ -75,9 +71,9 @@ def two_diff_family(
         raise CapExceeded(f"exact mode capped at m={DEFAULT_EXACT_CAP}, got {m}")
     perms = list(itertools.permutations(range(1, m + 1)))
     g = build_compatibility_graph(perms, "value-separated")
-    value, idx, status = max_clique_exact(g, time_limit=time_limit)
+    value, idx, status = max_clique_exact(g)
     meta["status"] = status
-    if status == STATUS_EXACT and value != factorial(m) // 2 ** (m // 2):
+    if value != factorial(m) // 2 ** (m // 2):
         raise AssertionError(
             f"exact maximum {value} != m!/2^(m/2) = {factorial(m) // 2 ** (m // 2)}"
         )
@@ -113,17 +109,16 @@ def bipartite_crossing_family(
     })
 
 
-def kernel_cycle_family(
-    n: int, e: Tuple[int, int], cap: int = DEFAULT_FAMILY_CAP
-) -> Family:
-    """All (n-2)! Hamilton cycles of K_n through the fixed edge e."""
+def kernel_cycle_family(n: int, e: Tuple[int, int]) -> Family:
+    """All (n-2)! Hamilton cycles of K_n through the fixed edge e, up to
+    DEFAULT_FAMILY_CAP of them."""
     u, v = e
     if u == v or not (1 <= u <= n) or not (1 <= v <= n):
         raise BadEdge(f"bad edge {e!r} for n={n}")
     if n < 3:
         raise BadEdge(f"need n >= 3, got {n}")
-    if factorial(n - 2) > cap:
-        raise CapExceeded(f"(n-2)! = {factorial(n - 2)} exceeds cap {cap}")
+    if factorial(n - 2) > DEFAULT_FAMILY_CAP:
+        raise CapExceeded(f"(n-2)! = {factorial(n - 2)} exceeds cap {DEFAULT_FAMILY_CAP}")
     rest = [w for w in range(1, n + 1) if w not in (u, v)]
     cycles = ((u, v) + interior for interior in itertools.permutations(rest))
     return sorted_family("cycles", n, cycles, {

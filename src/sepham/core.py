@@ -193,15 +193,20 @@ def cycle_edges(seq: Seq) -> frozenset:
     return path_edges(seq) | {closing}
 
 
+def edge_degrees(n: int, edges: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """The degree of each vertex of [n] in an edge set."""
+    deg = {v: 0 for v in range(1, n + 1)}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 def union_degree_profile(p, q) -> DegreeProfile:
     """Degrees in the union of the edge sets of two paths over the same [n]."""
     a, b = as_seq(p), as_seq(q)
     n = same_n(a, b)
-    deg = {v: 0 for v in range(1, n + 1)}
-    for u, v in path_edges(a) | path_edges(b):
-        deg[u] += 1
-        deg[v] += 1
-    return DegreeProfile(n=n, deg=deg)
+    return DegreeProfile(n=n, deg=edge_degrees(n, path_edges(a) | path_edges(b)))
 
 
 def inverse(p: Permutation) -> Permutation:

@@ -31,12 +31,12 @@ class GreedyConfig:
     seed: Optional[int] = None
 
 
-def greedy_family(cfg: GreedyConfig, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> Family:
+def greedy_family(cfg: GreedyConfig) -> Family:
     """Maximal pairwise-related family built by a single greedy pass.
 
-    Identical config yields an identical family.  The shuffle order
-    materializes the universe and therefore has a tighter cap than
-    lexicographic streaming.
+    Identical config yields an identical family.  The universe is capped at
+    DEFAULT_UNIVERSE_CAP members; the shuffle order materializes it and
+    therefore has the tighter DEFAULT_SHUFFLE_CAP.
     """
     enum, kind = get_universe(cfg.universe)
     require(cfg.relation, kind)
@@ -47,8 +47,8 @@ def greedy_family(cfg: GreedyConfig, universe_cap: int = DEFAULT_UNIVERSE_CAP) -
     if cfg.n < min_n:
         raise DomainError(f"universe {cfg.universe} needs n >= {min_n}, got {cfg.n}")
     size = universe_size(cfg.universe, cfg.n)
-    if size > universe_cap:
-        raise CapExceeded(f"universe size {size} exceeds cap {universe_cap}")
+    if size > DEFAULT_UNIVERSE_CAP:
+        raise CapExceeded(f"universe size {size} exceeds cap {DEFAULT_UNIVERSE_CAP}")
     if cfg.order == "shuffle":
         if cfg.seed is None:
             raise ValueError("shuffle order requires a seed")

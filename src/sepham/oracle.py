@@ -19,7 +19,7 @@ from . import bounds as bounds_mod
 from .core import Family, Seq, as_seq, kind_class, sorted_family
 from .errors import CapExceeded, DomainError, SephamError
 from .relations import RELATIONS, require, verify_unrelated, verify_witness
-from .universes import get_universe, universe_size
+from .universes import get_universe
 
 DEFAULT_VERTEX_CAP = 10_000
 
@@ -77,10 +77,9 @@ class OrbitLookup(NamedTuple):
 def build_compatibility_graph(
     objects: Sequence,
     relation: str,
-    cap: int = DEFAULT_VERTEX_CAP,
     orbit: Optional[OrbitLookup] = None,
 ) -> CompatibilityGraph:
-    """The named relation's adjacency over the given objects.
+    """The named relation's adjacency over at most DEFAULT_VERTEX_CAP objects.
 
     Without *orbit* the relation is evaluated on every pair.  With it, each
     pair (a, b) is looked up instead: g, the position-wise relabelling that
@@ -91,8 +90,8 @@ def build_compatibility_graph(
     """
     rel = require(relation)
     seqs = [as_seq(o) for o in objects]
-    if len(seqs) > cap:
-        raise CapExceeded(f"{len(seqs)} vertices exceed cap {cap}")
+    if len(seqs) > DEFAULT_VERTEX_CAP:
+        raise CapExceeded(f"{len(seqs)} vertices exceed cap {DEFAULT_VERTEX_CAP}")
     nv = len(seqs)
     adj = [0] * nv
     if orbit is None:
@@ -212,7 +211,8 @@ def complement(g: CompatibilityGraph) -> CompatibilityGraph:
 
 
 _QUANTITY_SPECS = {
-    # quantity -> (universe, relation, max n)
+    # quantity -> (universe, relation, max n); max n is the oracle's one cap,
+    # and keeps every universe within DEFAULT_VERTEX_CAP (2520 members at most)
     "Q": ("paths", "crossing", 7),
     "B": ("bipartite-paths", "crossing", 8),
     "R": ("permutations", "two-separated", 6),
@@ -260,14 +260,9 @@ def oracle_quantity(
         raise DomainError(f"{quantity}({n}) needs n >= {bounds_mod.MIN_N}")
     if n > max_n:
         raise CapExceeded(f"{quantity}({n}) exceeds the configured max n={max_n}")
-    size = universe_size(universe, n)
-    if size > DEFAULT_VERTEX_CAP:
-        raise CapExceeded(
-            f"{quantity}({n}): universe {universe} has {size} "
-            f"members, cap is {DEFAULT_VERTEX_CAP}"
-        )
     enum, kind = get_universe(universe)
     first, *rest = enum(n)
+    size = 1 + len(rest)
     related = RELATIONS[relation]
     near, far = [], []
     for o in rest:

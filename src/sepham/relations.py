@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .core import as_seq, cycle_edges, positions, same_n, union_degree_profile
+from .core import as_seq, cycle_edges, edge_degrees, positions, same_n, union_degree_profile
 from .errors import DomainError, SameCycle, UnknownRelation
 
 
@@ -97,17 +97,9 @@ def cycles_degree3_equiv(c, d) -> Tuple[bool, bool, Optional[Witness]]:
     if x == y:
         raise SameCycle(f"identical cycles {x!r}")
     witness = shares_edge(x, y)
-    deg = _cycle_union_degrees(x, y)
+    deg = edge_degrees(len(x), cycle_edges(x) | cycle_edges(y))
     has_degree3 = any(v == 3 for v in deg.values())
     return witness is not None, has_degree3, witness
-
-
-def _cycle_union_degrees(x, y):
-    deg = {v: 0 for v in x}
-    for u, v in cycle_edges(x) | cycle_edges(y):
-        deg[u] += 1
-        deg[v] += 1
-    return deg
 
 
 def verify_witness(a, b, w: Witness) -> bool:

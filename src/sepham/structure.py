@@ -149,29 +149,12 @@ def standardize_against(p, base) -> Permutation:
     return Permutation(tuple(pos[v] for v in pseq))
 
 
-def count_incompatible(n: int, cap: int = DEFAULT_BRUTE_FORCE_CAP) -> int:
+def count_incompatible(n: int) -> int:
     """Exact number of permutations of [n] incompatible with the identity,
-    the identity itself included.  Brute force over all n! permutations."""
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds brute-force cap {cap}")
-    count = 0
-    for p in itertools.permutations(range(1, n + 1)):
-        if _incompatible_fast(p, n):
-            count += 1
-    return count
-
-
-def _incompatible_fast(p, n) -> bool:
-    # Inlined incompatibility test against the identity: for every value
-    # e <= n-2 sitting at position <= n-2 in p, one of its two successors in p
-    # must be e+1 or e+2 (the successors of e in the identity are e+1, e+2).
-    pos = [0] * (n + 1)
-    for i, v in enumerate(p):
-        pos[v] = i
-    for e in range(1, n - 1):
-        i = pos[e]
-        if i <= n - 3:
-            s1, s2 = p[i + 1], p[i + 2]
-            if s1 != e + 1 and s1 != e + 2 and s2 != e + 1 and s2 != e + 2:
-                return False
-    return True
+    the identity itself included: those with the closeness property.  Brute
+    force over all n! permutations, up to n = DEFAULT_BRUTE_FORCE_CAP."""
+    if n > DEFAULT_BRUTE_FORCE_CAP:
+        raise CapExceeded(f"n={n} exceeds brute-force cap {DEFAULT_BRUTE_FORCE_CAP}")
+    return sum(
+        property_uno_holds(p)[0] for p in itertools.permutations(range(1, n + 1))
+    )

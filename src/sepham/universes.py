@@ -1,7 +1,8 @@
 """Enumerators for the object universes, yielding canonical forms only.
 
-Paths are produced up to reversal, cycles up to rotation and reflection,
-so downstream family builders and the clique oracle never see duplicates.
+Paths are produced up to reversal, cycles up to rotation and reflection
+(each member is its own `core.path_canon` or `core.cycle_canon` form), so
+downstream family builders and the clique oracle never see duplicates.
 All enumerators yield tuples in lexicographic order of the canonical form.
 """
 
@@ -9,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
-from typing import Iterator, Tuple
+from typing import Iterator
 
+from .core import Seq, cycle_canon, path_canon
 from .errors import UnknownUniverse
-
-Seq = Tuple[int, ...]
 
 
 def permutations(n: int) -> Iterator[Seq]:
@@ -24,7 +24,7 @@ def permutations(n: int) -> Iterator[Seq]:
 def hamilton_paths(n: int) -> Iterator[Seq]:
     """Canonical Hamilton paths of K_n (smaller endpoint first), n!/2 of them."""
     for p in itertools.permutations(range(1, n + 1)):
-        if p[0] < p[-1]:
+        if path_canon(p) == p:
             yield p
 
 
@@ -40,10 +40,7 @@ def bipartite_paths(n: int) -> Iterator[Seq]:
     seen = set()
     for bs in itertools.permutations(b_side):
         for as_ in itertools.permutations(a_side):
-            seq = tuple(_interleave(bs, as_))
-            if seq[0] > seq[-1]:
-                seq = seq[::-1]
-            seen.add(seq)
+            seen.add(path_canon(tuple(_interleave(bs, as_))))
     return iter(sorted(seen))
 
 
@@ -60,8 +57,9 @@ def _interleave(first, second):
 def hamilton_cycles(n: int) -> Iterator[Seq]:
     """Canonical Hamilton cycles of K_n (start at 1, second < last), (n-1)!/2 of them."""
     for rest in itertools.permutations(range(2, n + 1)):
-        if rest[0] < rest[-1]:
-            yield (1,) + rest
+        c = (1,) + rest
+        if cycle_canon(c) == c:
+            yield c
 
 
 def universe_size(name: str, n: int) -> int:

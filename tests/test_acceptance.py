@@ -60,7 +60,7 @@ def test_criterion_2_value_separated_cardinalities():
     t0 = time.monotonic()
     sizes = {}
     for m in (2, 3, 4, 5, 6):
-        fam = two_diff_family(m, mode="exact", time_limit=600)
+        fam = two_diff_family(m, mode="exact")
         assert fam.meta["status"] == STATUS_EXACT
         sizes[m] = len(fam)
     expected = {m: factorial(m) // 2 ** (m // 2) for m in sizes}

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from sepham import core
+from sepham import constructions, core
 from sepham.constructions import (
     Family,
     bipartite_crossing_family,
@@ -135,9 +135,10 @@ class TestKernelCycleFamily:
         with pytest.raises(BadEdge):
             kernel_cycle_family(5, (1, 6))
 
-    def test_output_cap(self):
+    def test_output_cap(self, monkeypatch):
+        monkeypatch.setattr(constructions, "DEFAULT_FAMILY_CAP", 1000)
         with pytest.raises(CapExceeded):
-            kernel_cycle_family(12, (1, 2), cap=1000)
+            kernel_cycle_family(12, (1, 2))
 
 
 class TestWalecki:

@@ -111,7 +111,8 @@ def test_predicate_is_read_from_the_module_table_at_call_time(monkeypatch):
     assert len(fam) == 4 and len(calls) > 0
 
 
-def test_universe_cap():
+def test_universe_cap(monkeypatch):
+    monkeypatch.setattr(greedy, "DEFAULT_UNIVERSE_CAP", 1000)
     cfg = GreedyConfig(universe="permutations", relation="two-separated", n=8)
     with pytest.raises(CapExceeded):
-        greedy_family(cfg, universe_cap=1000)
+        greedy_family(cfg)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from sepham import oracle
 from sepham.core import kind_class
 from sepham.errors import CapExceeded, DomainError, SephamError
 from sepham.oracle import (
@@ -66,10 +67,11 @@ class TestBuildGraph:
             for j in range(60):
                 assert (g.adj[i] >> j & 1) == (g.adj[j] >> i & 1)
 
-    def test_vertex_cap(self):
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_VERTEX_CAP", 100)
         with pytest.raises(CapExceeded):
             build_compatibility_graph(
-                list(itertools.permutations(range(1, 6))), "two-separated", cap=100
+                list(itertools.permutations(range(1, 6))), "two-separated"
             )
 
 
@@ -150,6 +152,11 @@ class TestOracleQuantity:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             oracle_quantity("R", 9)
+
+    def test_max_n_keeps_every_universe_within_the_vertex_cap(self):
+        # max n is the oracle's one cap, so the graph build's cap never fires
+        for universe, _, max_n in _QUANTITY_SPECS.values():
+            assert universe_size(universe, max_n) <= oracle.DEFAULT_VERTEX_CAP
 
     def test_n_below_the_bounds_floor(self):
         for quantity in _QUANTITY_SPECS:

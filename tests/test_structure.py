@@ -112,15 +112,15 @@ class TestCountIncompatible:
         assert count_incompatible(n) == expected
 
     def test_matches_relation_based_count(self):
-        # independent route: the witness-returning relation, not the inlined test
-        n = 5
-        ident = tuple(range(1, n + 1))
-        by_relation = sum(
-            1
-            for p in itertools.permutations(ident)
-            if is_two_separated(ident, p) is None
-        )
-        assert by_relation == count_incompatible(n)
+        # independent route: the witness-returning relation, not the closeness property
+        for n in range(2, 9):
+            ident = tuple(range(1, n + 1))
+            by_relation = sum(
+                1
+                for p in itertools.permutations(ident)
+                if is_two_separated(ident, p) is None
+            )
+            assert by_relation == count_incompatible(n), n
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
