@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
-from .core import Family, kind_class, sorted_family
-from .errors import CapExceeded, DomainError
-from .relations import RELATIONS, require
+from .core import Family, sorted_family
+from .errors import CapExceeded
+from .relations import RELABEL_INVARIANT, RELATIONS, OrbitLookup, require
 from .universes import get_universe, universe_size
 
 DEFAULT_UNIVERSE_CAP = factorial(10)
@@ -37,15 +37,18 @@ def greedy_family(cfg: GreedyConfig) -> Family:
     Identical config yields an identical family.  The universe is capped at
     DEFAULT_UNIVERSE_CAP members; the shuffle order materializes it and
     therefore has the tighter DEFAULT_SHUFFLE_CAP.
+
+    For a relation in RELABEL_INVARIANT, "c is related to every admitted
+    member" is decided by orbit lookup (see relations.OrbitLookup): one
+    enumeration of the universe finds the members not related to its first
+    member, and each later pair costs one canonical-form lookup.  Other
+    relations (value-separated) are evaluated pair by pair.
     """
     enum, kind = get_universe(cfg.universe)
     require(cfg.relation, kind)
     # read from this module's RELATIONS, so that a caller who replaces it
     # (with counting wrappers, say) sees every call
     relation = RELATIONS[cfg.relation]
-    min_n = kind_class(kind).MIN_N
-    if cfg.n < min_n:
-        raise DomainError(f"universe {cfg.universe} needs n >= {min_n}, got {cfg.n}")
     size = universe_size(cfg.universe, cfg.n)
     if size > DEFAULT_UNIVERSE_CAP:
         raise CapExceeded(f"universe size {size} exceeds cap {DEFAULT_UNIVERSE_CAP}")
@@ -59,14 +62,32 @@ def greedy_family(cfg: GreedyConfig) -> Family:
             )
         candidates = list(enum(cfg.n))
         random.Random(cfg.seed).shuffle(candidates)
+        members = candidates
     elif cfg.order == "lex":
-        candidates = enum(cfg.n)
+        candidates, members = enum(cfg.n), enum(cfg.n)
     else:
         raise ValueError(f"unknown order {cfg.order!r}")
     admitted = []
-    for c in candidates:
-        if all(relation(c, q) for q in admitted):
-            admitted.append(c)
+    if cfg.relation in RELABEL_INVARIANT:
+        rest = iter(members)
+        first = next(rest)
+        lookup = OrbitLookup(
+            first, frozenset([first, *(o for o in rest if not relation(first, o))]), kind
+        )
+        gs = []  # the admitted members' relabellings, the latest rejector first
+        for c in candidates:
+            hit = lookup.first_unrelated(c, gs)
+            if hit is None:
+                admitted.append(c)
+                gs.append(lookup.relabelling(c))
+            elif hit:
+                # a member that rejects one candidate often rejects the next;
+                # the order of the checks does not change the outcome
+                gs.insert(0, gs.pop(hit))
+    else:
+        for c in candidates:
+            if all(relation(c, q) for q in admitted):
+                admitted.append(c)
     return sorted_family(kind, cfg.n, admitted, {
         "construction": "greedy",
         "universe": cfg.universe,

@@ -12,13 +12,19 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
-from .core import Family, Seq, as_seq, kind_class, sorted_family
+from .core import Family, Seq, as_seq, sorted_family
 from .errors import CapExceeded, DomainError, SephamError
-from .relations import RELATIONS, require, verify_unrelated, verify_witness
+from .relations import (
+    RELABEL_INVARIANT,
+    RELATIONS,
+    OrbitLookup,
+    require,
+    verify_unrelated,
+    verify_witness,
+)
 from .universes import get_universe
 
 DEFAULT_VERTEX_CAP = 10_000
@@ -65,15 +71,6 @@ class OracleResult:
         return [tuple(c[i:i + n]) for i in range(0, len(c), n)]
 
 
-class OrbitLookup(NamedTuple):
-    """What the orbit build needs: a universe member, the set of members
-    related to it, and the member kind (for its canonical form)."""
-
-    first: Seq
-    related: FrozenSet[Seq]
-    kind: str
-
-
 def build_compatibility_graph(
     objects: Sequence,
     relation: str,
@@ -82,13 +79,13 @@ def build_compatibility_graph(
     """The named relation's adjacency over at most DEFAULT_VERTEX_CAP objects.
 
     Without *orbit* the relation is evaluated on every pair.  With it, each
-    pair (a, b) is looked up instead: g, the position-wise relabelling that
-    takes a to ``orbit.first``, preserves the relation, so a and b are
-    related iff the canonical form of g(b) is in ``orbit.related``.  That is
-    sound only when relabelling [n] by any such g preserves the relation and
-    the universe, as it does for every quantity of the oracle.
+    pair is looked up instead (see relations.OrbitLookup), which needs a
+    relation in RELABEL_INVARIANT and objects from the universe that
+    ``orbit.far`` was taken from.
     """
     rel = require(relation)
+    if orbit is not None and relation not in RELABEL_INVARIANT:
+        raise DomainError(f"relabelling does not preserve {relation}; no orbit build")
     seqs = [as_seq(o) for o in objects]
     if len(seqs) > DEFAULT_VERTEX_CAP:
         raise CapExceeded(f"{len(seqs)} vertices exceed cap {DEFAULT_VERTEX_CAP}")
@@ -102,20 +99,13 @@ def build_compatibility_graph(
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         return CompatibilityGraph(objects=seqs, adj=adj)
-    canon = kind_class(orbit.kind).canon
-    related = orbit.related
-    # picks[j](g) is g applied to seqs[j] position-wise, g indexed by value
-    picks = [itemgetter(*s) for s in seqs]
-    g = [0] * (len(orbit.first) + 1)
-    for i in range(nv):
-        for v, w in zip(seqs[i], orbit.first):
-            g[v] = w
+    gs = [orbit.relabelling(s) for s in seqs]
+    for j in range(1, nv):
         row = 0
-        for j in range(i + 1, nv):
-            if canon(picks[j](g)) in related:
-                row |= 1 << j
-                adj[j] |= 1 << i
-        adj[i] |= row
+        for i in orbit.related(seqs[j], gs[:j]):
+            row |= 1 << i
+            adj[i] |= 1 << j
+        adj[j] |= row
     return CompatibilityGraph(objects=seqs, adj=adj)
 
 
@@ -267,7 +257,7 @@ def oracle_quantity(
     near, far = [], []
     for o in rest:
         (near if related(first, o) else far).append(o)
-    orbit = OrbitLookup(first, frozenset(near), kind)
+    orbit = OrbitLookup(first, frozenset([first, *far]), kind)
     co = complement(build_compatibility_graph(far, relation, orbit=orbit))
     g = build_compatibility_graph(near, relation, orbit=orbit)
 

@@ -8,9 +8,19 @@ position, or edge under natural ordering is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from operator import itemgetter
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import as_seq, cycle_edges, edge_degrees, positions, same_n, union_degree_profile
+from .core import (
+    Seq,
+    as_seq,
+    cycle_edges,
+    edge_degrees,
+    kind_class,
+    positions,
+    same_n,
+    union_degree_profile,
+)
 from .errors import DomainError, SameCycle, UnknownRelation
 
 
@@ -161,6 +171,13 @@ APPLIES_TO = {
 }
 
 
+#: The relations that relabelling [n] preserves: for every permutation g of
+#: [n], g(a) and g(b) (g applied value by value) are related iff a and b
+#: are.  Each reads only positions, adjacencies and distinctness of values;
+#: value-separated compares the values themselves, so it is not one.
+RELABEL_INVARIANT = frozenset({"crossing", "two-different", "two-separated", "shared-edge"})
+
+
 def require(name: str, kind: Optional[str] = None):
     """The named relation's finder; with a member kind, also check that the
     relation applies to it (see APPLIES_TO)."""
@@ -173,3 +190,52 @@ def require(name: str, kind: Optional[str] = None):
     if kind is not None and kind not in APPLIES_TO[name]:
         raise DomainError(f"relation {name} does not apply to kind={kind}")
     return finder
+
+
+class OrbitLookup(NamedTuple):
+    """Relatedness by one canonical-form lookup per pair.
+
+    ``far`` holds the universe members not related to ``first``, ``first``
+    included.  For a member a, ``relabelling(a)`` is the g with
+    g[a[k]] = first[k], so g(a) = first.  Then, for any member b,
+
+        b ~ a  <=>  g(b) ~ first  <=>  canon(g(b)) ~ first  <=>  canon(g(b)) not in far.
+
+    This holds when the relation is symmetric and in RELABEL_INVARIANT, when
+    it does not depend on a member's stored orientation (APPLIES_TO), and
+    when every such g maps the universe into itself.  For the bipartite
+    paths it does: every canonical member has the same side at each
+    position, so g keeps each side.
+    """
+
+    first: Seq
+    far: FrozenSet[Seq]
+    kind: str  # the member kind, for its canonical form
+
+    def relabelling(self, a: Seq) -> List[int]:
+        """g as a list indexed by value: g[a[k]] = first[k]."""
+        g = [0] * (len(a) + 1)
+        for v, w in zip(a, self.first):
+            g[v] = w
+        return g
+
+    def related(self, b: Seq, gs: Sequence[List[int]]) -> List[int]:
+        """The indices k for which b is related to the member that gs[k]
+        relabels (gs[k] = relabelling(a))."""
+        image, canon, far = self._image(b), kind_class(self.kind).canon, self.far
+        return [k for k, g in enumerate(gs) if canon(image(g)) not in far]
+
+    def first_unrelated(self, b: Seq, gs: Sequence[List[int]]) -> Optional[int]:
+        """The first index k for which b is not related to the member that
+        gs[k] relabels, or None if b is related to all of them."""
+        image, canon, far = self._image(b), kind_class(self.kind).canon, self.far
+        for k, g in enumerate(gs):
+            if canon(image(g)) in far:
+                return k
+        return None
+
+    @staticmethod
+    def _image(b: Seq):
+        """g -> g(b), applied position-wise."""
+        # itemgetter with one index returns a bare value, not a tuple
+        return itemgetter(*b) if len(b) > 1 else lambda g: (g[b[0]],)

@@ -18,7 +18,6 @@ from sepham.constructions import (
     walecki_decomposition,
 )
 from sepham.core import couple_order, cycle_edges
-from sepham.greedy import GreedyConfig, greedy_family
 from sepham.oracle import STATUS_EXACT, oracle_quantity
 from sepham.relations import (
     RELATIONS,
@@ -29,7 +28,6 @@ from sepham.relations import (
 )
 from sepham.structure import (
     count_incompatible,
-    incompatible_with_identity,
     property_uno_holds,
     run_structure,
 )

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import re
 import tempfile
 from pathlib import Path

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from sepham.core import (
     MAX_N,
-    CoupleOrder,
     HamiltonCycle,
     Permutation,
     canonical_cycle,

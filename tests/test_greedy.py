@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from sepham import greedy
+from sepham.core import kind_class
 from sepham.errors import CapExceeded, DomainError, UnknownRelation, UnknownUniverse
 from sepham.greedy import GreedyConfig, greedy_family
 from sepham.oracle import oracle_quantity
-from sepham.relations import RELATIONS
+from sepham.relations import APPLIES_TO, RELABEL_INVARIANT, RELATIONS
 from sepham.structure import count_incompatible
+from sepham.universes import UNIVERSES
 
 # frozen sizes of the lexicographic greedy pass
 LEX_GREEDY_SIZES = {
@@ -116,3 +119,39 @@ def test_universe_cap(monkeypatch):
     cfg = GreedyConfig(universe="permutations", relation="two-separated", n=8)
     with pytest.raises(CapExceeded):
         greedy_family(cfg)
+
+
+def _pairwise_greedy(candidates, relation):
+    admitted = []
+    for c in candidates:
+        if all(relation(c, q) for q in admitted):
+            admitted.append(c)
+    return sorted(admitted)
+
+
+#: Every universe x relation pair that relations.require accepts, at every n
+#: from the kind's minimum to 7 (bipartite paths to 8).  Value-separated is
+#: not relabelling-invariant and runs the reference's own pairwise loop, so
+#: it stops at n = 6, where a pass is still fast.
+REFERENCE_CASES = [
+    (universe, relation, n)
+    for universe, (_, kind) in UNIVERSES.items()
+    for relation in RELATIONS
+    if kind in APPLIES_TO[relation]
+    for n in range(
+        kind_class(kind).MIN_N,
+        1 + (8 if universe == "bipartite-paths" else 7 if relation in RELABEL_INVARIANT else 6),
+    )
+]
+
+
+@pytest.mark.parametrize("universe,relation,n", REFERENCE_CASES)
+def test_greedy_equals_the_pairwise_reference(universe, relation, n):
+    enum, _ = UNIVERSES[universe]
+    members = list(enum(n))
+    for order, seed in (("lex", None), ("shuffle", 1), ("shuffle", 2)):
+        candidates = list(members)
+        if seed is not None:
+            random.Random(seed).shuffle(candidates)
+        fam = greedy_family(GreedyConfig(universe, relation, n, order, seed))
+        assert fam.seqs() == _pairwise_greedy(candidates, RELATIONS[relation]), (order, seed)

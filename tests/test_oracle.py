@@ -290,8 +290,8 @@ def orbit_graph(quantity, n):
     enum, kind = get_universe(universe)
     objects = list(enum(n))
     first = objects[0]
-    related = frozenset(o for o in objects if RELATIONS[relation](first, o))
-    return build_compatibility_graph(objects, relation, orbit=OrbitLookup(first, related, kind))
+    far = frozenset(o for o in objects if not RELATIONS[relation](first, o))
+    return build_compatibility_graph(objects, relation, orbit=OrbitLookup(first, far, kind))
 
 
 @pytest.mark.parametrize(
@@ -302,6 +302,16 @@ def test_orbit_build_equals_the_finder_on_all_pairs(quantity, n):
     g = orbit_graph(quantity, n)
     assert g.objects == full_graph(quantity, n).objects
     assert g.adj == full_graph(quantity, n).adj
+
+
+def test_orbit_build_refuses_a_relation_relabelling_does_not_preserve():
+    # value-separated compares values, so on S_4 a lookup would give a wrong graph
+    perms = list(get_universe("permutations")[0](4))
+    far = frozenset(p for p in perms if not RELATIONS["value-separated"](perms[0], p))
+    lookup = OrbitLookup(perms[0], far, "permutations")
+    assert build_compatibility_graph(perms, "two-separated", orbit=lookup)  # invariant: accepted
+    with pytest.raises(DomainError, match="relabelling does not preserve value-separated"):
+        build_compatibility_graph(perms, "value-separated", orbit=lookup)
 
 
 @pytest.mark.parametrize("quantity,n", [("B", 8), ("Mcy", 7)])

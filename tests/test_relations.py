@@ -14,7 +14,9 @@ from sepham.core import (
 )
 from sepham.errors import DomainError, SameCycle, SizeMismatch, UnknownRelation
 from sepham.relations import (
+    RELABEL_INVARIANT,
     RELATIONS,
+    OrbitLookup,
     cycles_degree3_equiv,
     is_crossing,
     is_two_different,
@@ -134,6 +136,28 @@ class TestSymmetryAndSoundness:
             for members in domain_members(name):
                 for a, b in itertools.combinations(members, 2):
                     assert bool(rel(a, b)) == bool(rel(b, a)), (name, a, b)
+
+    def test_relabel_invariant_exhaustive(self):
+        # a transposition and an n-cycle generate S_n, so a relation that
+        # both preserve is preserved by every relabelling of [n]
+        for name, rel in RELATIONS.items():
+            preserved = True
+            for members in domain_members(name):
+                n = len(members[0])
+                for g in ({1: 2, 2: 1}, {v: v % n + 1 for v in range(1, n + 1)}):
+                    def relabel(s):
+                        return tuple(g.get(v, v) for v in s)
+
+                    preserved &= all(
+                        bool(rel(relabel(a), relabel(b))) == bool(rel(a, b))
+                        for a, b in itertools.combinations(members, 2)
+                    )
+            assert preserved == (name in RELABEL_INVARIANT), name
+
+    def test_orbit_lookup_of_one_element_members(self):
+        # itemgetter with one index returns a bare value, not a 1-tuple
+        lookup = OrbitLookup((1,), frozenset({(1,)}), "permutations")
+        assert lookup.first_unrelated((1,), [lookup.relabelling((1,))]) == 0
 
     @given(perm6, perm6)
     def test_symmetry_sampled_n6(self, a, b):

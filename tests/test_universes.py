@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from sepham.core import kind_class
+from sepham.errors import DomainError
 from sepham.universes import UNIVERSES, get_universe, universe_size
 
 
@@ -24,7 +25,9 @@ def _reference(universe, n):
     })
 
 
-CASES = [(u, n) for u in UNIVERSES for n in range(3, 9)] + [("bipartite-paths", 9)]
+CASES = [
+    (u, n) for u, (_, kind) in UNIVERSES.items() for n in range(kind_class(kind).MIN_N, 9)
+] + [("bipartite-paths", 9)]
 
 
 @pytest.mark.parametrize("universe,n", CASES)
@@ -33,3 +36,14 @@ def test_enumerator_equals_the_canonical_form_reference(universe, n):
     members = list(enum(n))
     assert members == _reference(universe, n)
     assert len(members) == universe_size(universe, n)
+
+
+@pytest.mark.parametrize("universe", UNIVERSES)
+def test_below_the_kind_minimum_n_nothing_is_enumerated(universe):
+    enum, kind = get_universe(universe)
+    min_n = kind_class(kind).MIN_N
+    for n in range(-1, min_n):
+        with pytest.raises(DomainError, match=f"universe {universe} needs n >= {min_n}"):
+            universe_size(universe, n)
+        with pytest.raises(DomainError, match=f"needs n >= {min_n}"):
+            enum(n)
