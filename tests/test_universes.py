@@ -39,7 +39,7 @@ def test_enumerator_equals_the_canonical_form_reference(universe, n):
 
 
 @pytest.mark.parametrize("universe", UNIVERSES)
-def test_below_the_kind_minimum_n_nothing_is_enumerated(universe):
+def test_below_the_kind_minimum_n_enumerators_and_size_raise(universe):
     enum, kind = get_universe(universe)
     min_n = kind_class(kind).MIN_N
     for n in range(-1, min_n):
